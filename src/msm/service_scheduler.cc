@@ -1,6 +1,7 @@
 #include "src/msm/service_scheduler.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cstdlib>
 #include <deque>
@@ -889,6 +890,29 @@ void ServiceScheduler::GroupExtents(const RoundPlan& plan, const PlannedTransfer
   }
 }
 
+ServiceScheduler::MissSlot* ServiceScheduler::FindMiss(int64_t sector, bool insert) {
+  if (miss_table_.empty()) {
+    return nullptr;
+  }
+  const size_t mask = miss_table_.size() - 1;
+  // Fibonacci hashing: the top bits of sector * 2^64/phi pick the slot.
+  size_t s = static_cast<size_t>((static_cast<uint64_t>(sector) * 0x9E3779B97F4A7C15ull) >>
+                                 miss_shift_);
+  for (;; s = (s + 1) & mask) {
+    MissSlot& slot = miss_table_[s];
+    if (slot.sector == sector) {
+      return &slot;
+    }
+    if (slot.sector == kSilenceSector) {
+      if (!insert) {
+        return nullptr;
+      }
+      slot.sector = sector;
+      return &slot;
+    }
+  }
+}
+
 int64_t ServiceScheduler::ExecutePlannedRound(SimTime* now) {
   const SimTime round_start = *now;
   Disk& disk = store_->disk();
@@ -976,10 +1000,22 @@ int64_t ServiceScheduler::ExecutePlannedRound(SimTime* now) {
 
   // Sectors more than one active stream wants within the lookahead window:
   // the interval between a leading and a trailing viewer. Their cache
-  // entries are biased to evict last — the next hit is scheduled.
-  wanted_.clear();
-  const int64_t lookahead = CacheLookaheadBlocks();
-  if (cache != nullptr) {
+  // entries are biased to evict last — the next hit is scheduled. Only the
+  // sectors this round reads from disk can be inserted, so only those are
+  // counted.
+  miss_table_.clear();
+  if (cache != nullptr && !plan.riders.empty()) {
+    const size_t slots = std::bit_ceil(std::max<size_t>(64, 2 * plan.riders.size()));
+    miss_table_.assign(slots, MissSlot{});
+    miss_shift_ = 64 - std::countr_zero(slots);
+    for (const PlannedTransfer& transfer : plan.transfers) {
+      if (!transfer.is_append) {
+        for (const PlannedBlock& block : plan.riders_of(transfer)) {
+          FindMiss(block.sector, /*insert=*/true);
+        }
+      }
+    }
+    const int64_t lookahead = CacheLookaheadBlocks();
     for (RequestId id : service_order_) {
       const ActiveRequest& request = RequestAt(id);
       if (request.stats.completed || request.stats.paused || !request.playback.has_value()) {
@@ -989,8 +1025,12 @@ int64_t ServiceScheduler::ExecutePlannedRound(SimTime* now) {
       const int64_t limit =
           std::min<int64_t>(request.next_block + lookahead, static_cast<int64_t>(blocks.size()));
       for (int64_t b = request.next_block; b < limit; ++b) {
-        if (!blocks[static_cast<size_t>(b)].IsSilence()) {
-          ++wanted_[blocks[static_cast<size_t>(b)].sector];
+        const auto& block = blocks[static_cast<size_t>(b)];
+        if (block.IsSilence()) {
+          continue;
+        }
+        if (MissSlot* miss = FindMiss(block.sector)) {
+          ++miss->wants;
         }
       }
     }
@@ -1025,8 +1065,8 @@ int64_t ServiceScheduler::ExecutePlannedRound(SimTime* now) {
     if (!ok || cache == nullptr) {
       return;
     }
-    const auto want = wanted_.find(extent.first);
-    const bool biased = want != wanted_.end() && want->second >= 2;
+    const MissSlot* miss = FindMiss(extent.first);
+    const bool biased = miss != nullptr && miss->wants >= 2;
     cache->Insert(extent.first, extent.second, extent.second * disk.bytes_per_sector(), biased);
     for (const PlannedBlock* block : riders) {
       ActiveRequest& rider = RequestAt(block->request);

@@ -485,7 +485,16 @@ class ServiceScheduler {
   // determinism).
   std::unordered_map<uint64_t, SimDuration> attributed_;
   std::unordered_map<uint64_t, int64_t> append_done_;
-  std::unordered_map<int64_t, int> wanted_;
+  // This round's miss sectors (the extents its read transfers fetch), each
+  // with how many active streams' lookahead blocks want it: the cache-bias
+  // input of ExecutePlannedRound. An open-addressing table rebuilt each
+  // round at load <= 1/2; empty slots hold kSilenceSector.
+  struct MissSlot {
+    int64_t sector = kSilenceSector;
+    int wants = 0;
+  };
+  std::vector<MissSlot> miss_table_;
+  int miss_shift_ = 0;
   // Distinct-extent grouping scratch for one transfer (GroupExtents).
   std::vector<std::pair<int64_t, int64_t>> group_keys_;
   std::vector<std::vector<const PlannedBlock*>> group_riders_;
@@ -503,6 +512,9 @@ class ServiceScheduler {
   // distinct extents in first-encounter order. One grouping is live at a
   // time; callers must finish with a group before regrouping.
   void GroupExtents(const RoundPlan& plan, const PlannedTransfer& transfer);
+  // The miss_table_ slot of `sector`: found, claimed when `insert`, or
+  // nullptr when the sector is no miss of this round.
+  MissSlot* FindMiss(int64_t sector, bool insert = false);
 };
 
 }  // namespace vafs

@@ -206,25 +206,26 @@ void ContinuityAuditor::HandleRound(const TraceEvent& event) {
 }
 
 void ContinuityAuditor::HandleSession(const TraceEvent& event) {
-  const std::string tag = "session " + std::to_string(event.session);
+  // Built only when a check fails: session events arrive once per viewer.
+  const auto tag = [&event] { return "session " + std::to_string(event.session); };
   switch (event.kind) {
     case TraceEventKind::kSessionBatched:
       // A batched rider shares the leader's stream outright; it can only
       // attach while the leader is behind it or level with it.
       if (event.gap_blocks < 0) {
-        Flag(event, tag + " batched with a negative gap of " +
+        Flag(event, tag() + " batched with a negative gap of " +
                         std::to_string(event.gap_blocks) + " blocks");
       }
       break;
     case TraceEventKind::kSessionPatched: {
       SessionState& session = sessions_[event.session];
       if (session.patched) {
-        Flag(event, tag + " patched twice");
+        Flag(event, tag() + " patched twice");
       }
       if (event.gap_blocks <= 0) {
         // A zero-gap arrival is a batch, not a patch: a patch stream here
         // would spend disk on blocks the leader delivers for free.
-        Flag(event, tag + " opened a patch for a gap of " +
+        Flag(event, tag() + " opened a patch for a gap of " +
                         std::to_string(event.gap_blocks) + " blocks");
       }
       if (event.runway_blocks <= 0) {
@@ -232,7 +233,7 @@ void ContinuityAuditor::HandleSession(const TraceEvent& event) {
         // banks the leader's deliveries into its runway. A bound of zero
         // means the leader had nothing left to deliver at attach — the
         // arrival should have played solo, not patched.
-        Flag(event, tag + " patched with a runway bound of " +
+        Flag(event, tag() + " patched with a runway bound of " +
                         std::to_string(event.runway_blocks) + " blocks");
       }
       session.patched = true;
@@ -244,23 +245,23 @@ void ContinuityAuditor::HandleSession(const TraceEvent& event) {
     case TraceEventKind::kSessionMerged: {
       auto it = sessions_.find(event.session);
       if (it == sessions_.end() || !it->second.patched) {
-        Flag(event, tag + " merged without a preceding patch");
+        Flag(event, tag() + " merged without a preceding patch");
         break;
       }
       if (it->second.merged) {
-        Flag(event, tag + " merged twice");
+        Flag(event, tag() + " merged twice");
       }
       if (event.runway_blocks < 0) {
         // The leader moved backwards relative to the patch: the merge hands
         // the rider a hole the leader will never re-read.
-        Flag(event, tag + " merged with a realized runway of " +
+        Flag(event, tag() + " merged with a realized runway of " +
                         std::to_string(event.runway_blocks) + " blocks (rider is short " +
                         std::to_string(-event.runway_blocks) + " of the leader's trail)");
       } else if (event.runway_blocks > it->second.runway_bound) {
         // The rider banked more than the Section 3 bound planned for — the
         // buffer claim made at patch time understated the memory the merge
         // actually needed.
-        Flag(event, tag + " merged with a realized runway of " +
+        Flag(event, tag() + " merged with a realized runway of " +
                         std::to_string(event.runway_blocks) + " blocks, above the bound of " +
                         std::to_string(it->second.runway_bound) + " stamped at patch time");
       }

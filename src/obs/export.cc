@@ -418,7 +418,7 @@ std::string PrometheusExporter::Export() const {
     out += "# TYPE vafs_trace_events_dropped_total counter\n";
     out += "vafs_trace_events_dropped_total " + std::to_string(log_->dropped()) + "\n";
     out += "# TYPE vafs_trace_events_retained gauge\n";
-    out += "vafs_trace_events_retained " + std::to_string(log_->events().size()) + "\n";
+    out += "vafs_trace_events_retained " + std::to_string(log_->size()) + "\n";
   }
   registry_->ForEachCounter([&](const std::string& name, const Counter& counter) {
     const std::string metric = MetricName(name);
@@ -466,7 +466,7 @@ std::string JsonSnapshotExporter::Export() const {
   std::string json = "{\"version\": " + std::to_string(kVersion) +
                      ", \"kind\": \"vafs.telemetry.snapshot\", \"trace\": ";
   if (log_ != nullptr) {
-    json += "{\"events_retained\": " + std::to_string(log_->events().size()) +
+    json += "{\"events_retained\": " + std::to_string(log_->size()) +
             ", \"events_dropped\": " + std::to_string(log_->dropped()) + "}";
   } else {
     json += "null";

@@ -43,11 +43,16 @@ FlightRecorder::FlightRecorder(FlightRecorderOptions options) : options_(options
 void FlightRecorder::OnEvent(const TraceEvent& event) {
   const TraceSeverity severity = ClassifyTraceEvent(event);
   Ring& ring = rings_[static_cast<size_t>(severity)];
-  if (options_.ring_capacity > 0 && ring.entries.size() >= options_.ring_capacity) {
-    ring.entries.pop_front();
+  const size_t capacity = options_.ring_capacity;
+  if (capacity == 0 || ring.entries.size() < capacity) {
+    ring.entries.push_back(Entry{events_seen_++, event});
+  } else {
+    Entry& oldest = ring.entries[ring.next];
+    oldest.sequence = events_seen_++;
+    oldest.event = event;
+    ring.next = ring.next + 1 == capacity ? 0 : ring.next + 1;
     ++ring.dropped;
   }
-  ring.entries.push_back(Entry{events_seen_++, event});
   if (severity == TraceSeverity::kCritical) {
     TriggerDump(std::string(TraceEventKindName(event.kind)) +
                 (event.detail.empty() ? "" : ": " + event.detail));

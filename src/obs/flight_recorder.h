@@ -18,9 +18,9 @@
 #define VAFS_SRC_OBS_FLIGHT_RECORDER_H_
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <string>
+#include <vector>
 
 #include "src/obs/trace.h"
 
@@ -78,8 +78,13 @@ class FlightRecorder : public TraceSink {
     int64_t sequence = 0;
     TraceEvent event;
   };
+  // A fixed ring per severity: entries grow by push_back until they hold
+  // ring_capacity slots, then each event overwrites the oldest slot at
+  // `next` (a copy-assignment, no element moves). Order inside a ring does
+  // not matter to Dump(), which merges by sequence number.
   struct Ring {
-    std::deque<Entry> entries;
+    std::vector<Entry> entries;
+    size_t next = 0;
     int64_t dropped = 0;
   };
 

@@ -1,43 +1,90 @@
 #include "src/obs/slo.h"
 
 #include <algorithm>
+#include <bit>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 
 namespace vafs {
 namespace obs {
 
-SloTracker::SloTracker(SloOptions options) : options_(options) {}
+namespace {
+
+// Breach descriptions are rendered into a buffer of this size, as by
+// snprintf: longer text is cut to kDescriptionMax - 1 characters.
+constexpr size_t kDescriptionMax = 160;
+
+// Appends `value` in printf's "%.<precision>f" form (std::to_chars renders
+// exactly as printf does in the C locale).
+void AppendFixed(std::string* out, double value, int precision) {
+  char buffer[kDescriptionMax];
+  const std::to_chars_result result = std::to_chars(
+      buffer, buffer + sizeof(buffer), value, std::chars_format::fixed, precision);
+  out->append(buffer, result.ec == std::errc() ? result.ptr : buffer);
+}
+
+}  // namespace
+
+SloTracker::SloTracker(SloOptions options) : options_(options) {
+  char buffer[kDescriptionMax];
+  std::snprintf(buffer, sizeof(buffer), " meeting %.0f%% slack (target %.4f)",
+                options_.slack_target * 100.0, options_.slo_target);
+  breach_suffix_ = buffer;
+}
+
+std::string SloTracker::BreachDescription(const StreamSlo& slo, int64_t round) const {
+  // Every saturated stream can breach in the same overloaded round, so this
+  // avoids snprintf's float conversions; the text is the same as
+  // "stream %llu breached continuity SLO at round %lld: %.4f within budget,
+  // %.4f meeting %.0f%% slack (target %.4f)" in a 160-byte buffer.
+  std::string description = "stream " + std::to_string(slo.request) +
+                            " breached continuity SLO at round " + std::to_string(round) + ": ";
+  AppendFixed(&description, slo.WithinBudgetFraction(), 4);
+  description += " within budget, ";
+  AppendFixed(&description, slo.MeetingSlackFraction(), 4);
+  description += breach_suffix_;
+  if (description.size() >= kDescriptionMax) {
+    description.resize(kDescriptionMax - 1);
+  }
+  return description;
+}
 
 void SloTracker::OnEvent(const TraceEvent& event) {
   switch (event.kind) {
     case TraceEventKind::kSubmitAccepted: {
-      StreamState& state = streams_[event.request];
+      const auto [index, inserted] = index_.Insert(event.request, streams_.size());
+      if (inserted) {
+        if (!streams_.empty() && event.request < streams_.back().slo.request) {
+          ids_ascending_ = false;
+        }
+        streams_.emplace_back();
+      } else {
+        SettleServices();  // pending startup latencies count from the old stamp
+      }
+      StreamState& state = streams_[index];
       state.slo.request = event.request;
       state.slo.submit_time = event.time;
       break;
     }
     case TraceEventKind::kRoundStart:
+      SettleServices();  // the previous round never ended: deliver, do not account
+      round_services_.clear();
+      settled_ = 0;
       round_open_ = true;
       round_k_ = event.k;
       round_start_time_ = event.time;
-      round_services_.clear();
       break;
     case TraceEventKind::kRequestServiced: {
       if (!round_open_) {
         break;
       }
-      auto it = streams_.find(event.request);
-      if (it == streams_.end()) {
+      const size_t* index = index_.Find(event.request);
+      if (index == nullptr) {
         break;  // stream submitted before this tracker attached
       }
-      StreamState& state = it->second;
-      state.slo.blocks_transferred += event.blocks;
-      if (state.slo.startup_latency < 0) {
-        state.slo.startup_latency = event.time - state.slo.submit_time;
-      }
       round_services_.push_back(
-          RoundService{event.request, event.blocks, event.block_playback, event.time});
+          RoundService{*index, event.blocks, event.block_playback, event.time});
       break;
     }
     case TraceEventKind::kRoundEnd:
@@ -48,48 +95,46 @@ void SloTracker::OnEvent(const TraceEvent& event) {
       round_open_ = false;
       break;
     case TraceEventKind::kBlockSkipped:
-      if (auto it = streams_.find(event.request); it != streams_.end()) {
-        ++it->second.slo.blocks_skipped;
+      if (StreamState* state = Find(event.request)) {
+        ++state->slo.blocks_skipped;
       }
       break;
     case TraceEventKind::kBlockRetried:
-      if (auto it = streams_.find(event.request); it != streams_.end()) {
-        ++it->second.slo.blocks_retried;
+      if (StreamState* state = Find(event.request)) {
+        ++state->slo.blocks_retried;
       }
       break;
     case TraceEventKind::kCompleted:
-      if (auto it = streams_.find(event.request); it != streams_.end()) {
-        it->second.slo.completed = true;
+      if (StreamState* state = Find(event.request)) {
+        state->slo.completed = true;
       }
       break;
     case TraceEventKind::kSessionBatched:
       ++sessions_batched_;
-      if (auto it = streams_.find(event.leader); it != streams_.end()) {
-        StreamSlo& leader = it->second.slo;
-        leader.session = event.session;
-        ++leader.session_riders;
+      if (StreamState* leader = Find(event.leader)) {
+        leader->slo.session = event.session;
+        ++leader->slo.session_riders;
       }
       break;
     case TraceEventKind::kSessionPatched:
       ++sessions_patched_;
-      if (auto it = streams_.find(event.leader); it != streams_.end()) {
-        it->second.slo.session = event.session;
+      if (StreamState* leader = Find(event.leader)) {
+        leader->slo.session = event.session;
       }
-      if (auto it = streams_.find(event.request); it != streams_.end()) {
-        StreamSlo& patch = it->second.slo;
-        patch.session = event.session;
-        patch.session_leader = event.leader;
-        patch.session_patch = true;
+      if (StreamState* patch = Find(event.request)) {
+        patch->slo.session = event.session;
+        patch->slo.session_leader = event.leader;
+        patch->slo.session_patch = true;
       }
       break;
     case TraceEventKind::kSessionMerged:
       ++sessions_merged_;
-      if (auto it = streams_.find(event.request); it != streams_.end()) {
-        it->second.slo.session_merged = true;
+      if (StreamState* patch = Find(event.request)) {
+        patch->slo.session_merged = true;
       }
-      if (auto it = streams_.find(event.leader); it != streams_.end()) {
+      if (StreamState* leader = Find(event.leader)) {
         // The merged rider now consumes from the leader's deliveries.
-        ++it->second.slo.session_riders;
+        ++leader->slo.session_riders;
       }
       break;
     default:
@@ -97,16 +142,97 @@ void SloTracker::OnEvent(const TraceEvent& event) {
   }
 }
 
+const size_t* SloTracker::StreamIndex::Find(uint64_t id) const {
+  if (slots_.empty()) {
+    return nullptr;
+  }
+  const size_t mask = slots_.size() - 1;
+  for (size_t s = Home(id);; s = (s + 1) & mask) {
+    const Slot& slot = slots_[s];
+    if (slot.index == kEmpty) {
+      return nullptr;
+    }
+    if (slot.id == id) {
+      return &slot.index;
+    }
+  }
+}
+
+std::pair<size_t, bool> SloTracker::StreamIndex::Insert(uint64_t id, size_t index) {
+  if (const size_t* found = Find(id)) {
+    return {*found, false};
+  }
+  if (2 * (size_ + 1) > slots_.size()) {
+    Grow();
+  }
+  const size_t mask = slots_.size() - 1;
+  size_t s = Home(id);
+  while (slots_[s].index != kEmpty) {
+    s = (s + 1) & mask;
+  }
+  slots_[s] = Slot{id, index};
+  ++size_;
+  return {index, true};
+}
+
+void SloTracker::StreamIndex::Grow() {
+  std::vector<Slot> old = std::move(slots_);
+  slots_.assign(old.empty() ? 64 : 2 * old.size(), Slot{});
+  shift_ = 64 - std::countr_zero(slots_.size());
+  const size_t mask = slots_.size() - 1;
+  for (const Slot& slot : old) {
+    if (slot.index != kEmpty) {
+      size_t s = Home(slot.id);
+      while (slots_[s].index != kEmpty) {
+        s = (s + 1) & mask;
+      }
+      slots_[s] = slot;
+    }
+  }
+}
+
+SloTracker::StreamState* SloTracker::Find(uint64_t request) {
+  const size_t* index = index_.Find(request);
+  return index != nullptr ? &streams_[*index] : nullptr;
+}
+
+void SloTracker::Deliver(const RoundService& service, StreamSlo* slo) {
+  slo->blocks_transferred += service.blocks;
+  if (slo->startup_latency < 0) {
+    slo->startup_latency = service.completion - slo->submit_time;
+  }
+}
+
+void SloTracker::SettleServices() {
+  for (; settled_ < round_services_.size(); ++settled_) {
+    const RoundService& service = round_services_[settled_];
+    Deliver(service, &streams_[service.stream].slo);
+  }
+}
+
 void SloTracker::AccountRound(const TraceEvent& round_end) {
   const SimDuration round_duration = round_end.duration;
   const int64_t round_index = round_end.round;
-  for (const RoundService& service : round_services_) {
-    auto it = streams_.find(service.request);
-    if (it == streams_.end()) {
-      continue;
+  // Services arrive in disk order, so their entries are scattered over the
+  // table: fetch the lines a stream's accounting touches a few services
+  // ahead, and the memory latency overlaps the work on the current one.
+  constexpr size_t kPrefetchAhead = 8;
+  for (size_t i = 0; i < round_services_.size(); ++i) {
+    if (i + kPrefetchAhead < round_services_.size()) {
+      const StreamState& ahead = streams_[round_services_[i + kPrefetchAhead].stream];
+      const char* base = reinterpret_cast<const char*>(&ahead);
+      for (size_t line = 0; line < 3 * 64; line += 64) {
+        __builtin_prefetch(base + line);  // tracker fields, StreamSlo scalars, slack_pct head
+      }
+      __builtin_prefetch(&ahead.slo.jitter_usec);
     }
-    StreamState& state = it->second;
+    const RoundService& service = round_services_[i];
+    StreamState& state = streams_[service.stream];
     StreamSlo& slo = state.slo;
+    if (i == settled_) {
+      Deliver(service, &slo);
+      ++settled_;
+    }
     const SimDuration budget = service.blocks * service.block_playback;
 
     // Jitter: spacing of service completions between adjacent rounds,
@@ -141,18 +267,12 @@ void SloTracker::AccountRound(const TraceEvent& round_end) {
     if (!state.breached && !slo.ContinuityMet(options_)) {
       state.breached = true;
       if (breach_handler_) {
-        char buffer[160];
-        std::snprintf(buffer, sizeof(buffer),
-                      "stream %llu breached continuity SLO at round %lld: "
-                      "%.4f within budget, %.4f meeting %.0f%% slack (target %.4f)",
-                      static_cast<unsigned long long>(service.request),
-                      static_cast<long long>(round_index), slo.WithinBudgetFraction(),
-                      slo.MeetingSlackFraction(), options_.slack_target * 100.0,
-                      options_.slo_target);
-        breach_handler_(service.request, buffer);
+        breach_handler_(slo.request, BreachDescription(slo, round_index));
       }
     }
   }
+  round_services_.clear();
+  settled_ = 0;
 }
 
 SloReport SloTracker::Report() const {
@@ -163,15 +283,22 @@ SloReport SloTracker::Report() const {
   report.sessions_patched = sessions_patched_;
   report.sessions_merged = sessions_merged_;
   report.streams.reserve(streams_.size());
-  for (const auto& [id, state] : streams_) {
+  for (const StreamState& state : streams_) {
     report.streams.push_back(state.slo);
+  }
+  for (size_t i = settled_; i < round_services_.size(); ++i) {
+    Deliver(round_services_[i], &report.streams[round_services_[i].stream]);
+  }
+  if (!ids_ascending_) {
+    std::sort(report.streams.begin(), report.streams.end(),
+              [](const StreamSlo& a, const StreamSlo& b) { return a.request < b.request; });
   }
   return report;
 }
 
 bool SloTracker::AllStreamsMeetSlo() const {
-  return std::all_of(streams_.begin(), streams_.end(), [this](const auto& entry) {
-    return entry.second.slo.ContinuityMet(options_);
+  return std::all_of(streams_.begin(), streams_.end(), [this](const StreamState& state) {
+    return state.slo.ContinuityMet(options_);
   });
 }
 

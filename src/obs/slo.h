@@ -27,9 +27,10 @@
 #define VAFS_SRC_OBS_SLO_H_
 
 #include <cstdint>
+#include <deque>
 #include <functional>
-#include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/obs/metrics.h"
@@ -64,12 +65,12 @@ struct StreamSlo {
   double min_slack_fraction = 0.0;  // meaningful once rounds_accounted > 0
   double budget_utilization_sum_pct = 0.0;  // sum over accounted rounds
 
-  Histogram slack_pct;     // per-round slack, percent of the Eq. 11 budget
-  Histogram jitter_usec;   // |service spacing - k*d_i| between rounds
-
   int64_t blocks_transferred = 0;
   int64_t blocks_skipped = 0;
   int64_t blocks_retried = 0;
+
+  Histogram slack_pct;     // per-round slack, percent of the Eq. 11 budget
+  Histogram jitter_usec;   // |service spacing - k*d_i| between rounds
 
   // Session layer (src/msm/session_manager.h): 0 = solo stream. A leader
   // carries batched riders on its physical stream; a patch is a short
@@ -147,26 +148,78 @@ class SloTracker : public TraceSink {
 
  private:
   struct RoundService {
-    uint64_t request = 0;
+    size_t stream = 0;  // index into streams_
     int64_t blocks = 0;
     SimDuration block_playback = 0;
     SimTime completion = 0;
   };
+  // The tracker's fields lead so that they share a cache line with the
+  // StreamSlo scalars a round updates.
   struct StreamState {
-    StreamSlo slo;
     bool breached = false;
     // Previous round's service completion, for jitter spacing.
     int64_t last_round = -1;
     SimTime last_completion = 0;
     SimDuration last_period = 0;
+    StreamSlo slo;
   };
 
+  // Request id -> stream table index: open addressing with linear probing
+  // over one flat slot array (load kept at or below one half), so a lookup
+  // is a multiply, a shift and usually one cache line.
+  class StreamIndex {
+   public:
+    // The table index stored for `id`, or nullptr.
+    const size_t* Find(uint64_t id) const;
+    // Stores id -> index unless `id` is present; returns the stored index
+    // and whether this call inserted it.
+    std::pair<size_t, bool> Insert(uint64_t id, size_t index);
+
+   private:
+    static constexpr size_t kEmpty = ~size_t{0};
+    struct Slot {
+      uint64_t id = 0;
+      size_t index = kEmpty;
+    };
+    size_t Home(uint64_t id) const {
+      return static_cast<size_t>((id * 0x9E3779B97F4A7C15ull) >> shift_);  // Fibonacci hashing
+    }
+    void Grow();
+
+    std::vector<Slot> slots_;
+    size_t size_ = 0;
+    int shift_ = 0;
+  };
+
+  // The tracked stream for `request`, or nullptr when it was submitted
+  // before this tracker attached.
+  StreamState* Find(uint64_t request);
+  // Credits pending services' blocks (and first-service startup latency)
+  // to their streams, as a kRequestServiced would have done on arrival.
+  static void Deliver(const RoundService& service, StreamSlo* slo);
+  void SettleServices();
   void AccountRound(const TraceEvent& round_end);
+  std::string BreachDescription(const StreamSlo& slo, int64_t round) const;
 
   SloOptions options_;
   BreachHandler breach_handler_;
-  std::map<uint64_t, StreamState> streams_;
+  // The options-only tail of a breach description, formatted once.
+  std::string breach_suffix_;
+  // Streams in arrival order, plus the id -> index hash. A deque grows in
+  // chunks, so adding a stream never copies the (large) entries already
+  // tracked. Report() sorts by id only when ids arrived out of order.
+  std::deque<StreamState> streams_;
+  StreamIndex index_;
+  bool ids_ascending_ = true;
+  // This round's serviced streams, by table index: AccountRound does no
+  // lookups. A kRequestServiced only hashes its id and appends here; the
+  // stream entry itself is touched once, at the round end, where its
+  // delivery and accounting are applied together with the entries of the
+  // next services prefetched. Services before settled_ are delivered
+  // already (a restamping submit or a round that never ended forced it);
+  // Report() delivers the rest to its copies.
   std::vector<RoundService> round_services_;
+  size_t settled_ = 0;
   int64_t sessions_batched_ = 0;
   int64_t sessions_patched_ = 0;
   int64_t sessions_merged_ = 0;

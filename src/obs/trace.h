@@ -12,6 +12,7 @@
 #define VAFS_SRC_OBS_TRACE_H_
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -217,27 +218,44 @@ class TraceSink {
 
 // Records the event stream for later replay (the round-trace log). A
 // capacity of 0 keeps everything; otherwise the log holds the most recent
-// `capacity` events, dropping the oldest (counted in dropped()) so a
-// long-lived simulation cannot grow it without bound.
+// `capacity` events: when full it drops the oldest quarter in one go
+// (counted in dropped()) so a long-lived simulation cannot grow it without
+// bound.
+//
+// A bounded log is a ring of `capacity` slots: once it has filled, an event
+// costs one copy-assignment into the slot the oldest event vacated, and no
+// element moves. events() rotates the ring in place so the oldest event
+// sits first — O(size) on the first read after a wrap, free after that —
+// so readers that only need the count should call size(). Because of that
+// reordering, events() must not race with any other call on the log.
 class TraceLog : public TraceSink {
  public:
   explicit TraceLog(size_t capacity = 0) : capacity_(capacity) {}
 
   void OnEvent(const TraceEvent& event) override;
-  const std::vector<TraceEvent>& events() const { return events_; }
+  // Retained events, oldest first.
+  const std::vector<TraceEvent>& events() const;
+  size_t size() const { return size_; }
   size_t capacity() const { return capacity_; }
   // Events discarded so far to honour the capacity (the trace.events_dropped
   // counter exported by telemetry snapshots).
   int64_t dropped() const { return dropped_; }
   void Clear() {
-    events_.clear();
+    ring_.clear();
+    head_ = 0;
+    size_ = 0;
     dropped_ = 0;
   }
 
  private:
   size_t capacity_;
   int64_t dropped_ = 0;
-  std::vector<TraceEvent> events_;
+  // Slot of the oldest retained event, and the retained count. The ring
+  // grows by push_back until it holds `capacity_` slots; head_ is nonzero
+  // only once it has, and events() resets it to zero by rotating.
+  mutable std::vector<TraceEvent> ring_;
+  mutable size_t head_ = 0;
+  size_t size_ = 0;
 };
 
 // Buffers events for later ordered replay into another sink. This is the
@@ -284,14 +302,22 @@ class TeeSink : public TraceSink {
 };
 
 // Folds the event stream into registry counters/gauges/histograms; keeps no
-// event history of its own.
+// event history of its own. Each fixed-name instrument is looked up in the
+// registry on its first use and held by pointer after that (registry
+// references are stable), so an event costs no string building or map
+// lookup. Resolving on first use keeps the registry holding exactly the
+// instruments the stream touched.
 class MetricsSink : public TraceSink {
  public:
-  explicit MetricsSink(MetricsRegistry* registry) : registry_(registry) {}
+  explicit MetricsSink(MetricsRegistry* registry);
+  ~MetricsSink() override;
   void OnEvent(const TraceEvent& event) override;
 
  private:
+  struct Instruments;  // the resolved handles (trace.cc)
+
   MetricsRegistry* registry_;
+  std::unique_ptr<Instruments> instruments_;
   // Power cuts seen since the last kRecovery. Each is a distinct crash
   // point; the recovery that finally lands credits them all, so
   // back-to-back cuts before one recovery are not collapsed into one.

@@ -1,13 +1,36 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cmath>
+#include <cstdlib>
 #include <limits>
+#include <new>
 #include <string>
 #include <vector>
 
 #include "src/obs/auditor.h"
+#include "src/obs/flight_recorder.h"
 #include "src/obs/metrics.h"
+#include "src/obs/slo.h"
 #include "src/obs/trace.h"
+
+// Counting replacement of the global allocator for this test binary: the
+// observer hot-path test asserts that a steady-state round allocates
+// nothing. The array and nothrow forms forward to these by default.
+namespace {
+std::atomic<int64_t> g_allocations{0};
+}  // namespace
+
+void* operator new(std::size_t size) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* block = std::malloc(size == 0 ? 1 : size)) {
+    return block;
+  }
+  throw std::bad_alloc();
+}
+void operator delete(void* block) noexcept { std::free(block); }
+void operator delete(void* block, std::size_t) noexcept { std::free(block); }
 
 namespace vafs {
 namespace obs {
@@ -449,6 +472,149 @@ TEST(TraceTest, UnboundedLogKeepsEverything) {
   }
   EXPECT_EQ(log.events().size(), 1000u);
   EXPECT_EQ(log.dropped(), 0);
+}
+
+// Reference model of the bounded log: a vector that, when full, erases the
+// oldest quarter from its front. The ring must retain exactly this.
+struct EraseFrontLog {
+  size_t capacity;
+  std::vector<int64_t> rounds;
+  int64_t dropped = 0;
+
+  void Add(int64_t round) {
+    if (capacity > 0 && rounds.size() >= capacity) {
+      const size_t drop = std::max<size_t>(1, capacity / 4);
+      rounds.erase(rounds.begin(), rounds.begin() + static_cast<ptrdiff_t>(drop));
+      dropped += static_cast<int64_t>(drop);
+    }
+    rounds.push_back(round);
+  }
+};
+
+std::vector<int64_t> RetainedRounds(const TraceLog& log) {
+  std::vector<int64_t> rounds;
+  for (const TraceEvent& event : log.events()) {
+    rounds.push_back(event.round);
+  }
+  return rounds;
+}
+
+TEST(TraceTest, RingLogRetainsWhatEraseFrontRetains) {
+  for (const size_t capacity : {size_t{1}, size_t{4}, size_t{8}, size_t{8192}}) {
+    SCOPED_TRACE("capacity " + std::to_string(capacity));
+    TraceLog log(capacity);
+    EraseFrontLog model{capacity, {}};
+    const int64_t total = static_cast<int64_t>(capacity) * 33 / 10;
+    TraceEvent event;
+    event.kind = TraceEventKind::kRequestServiced;
+    for (int64_t i = 0; i < total; ++i) {
+      event.round = i;
+      log.OnEvent(event);
+      model.Add(i);
+      ASSERT_EQ(log.size(), model.rounds.size());
+      ASSERT_EQ(log.dropped(), model.dropped);
+      // Reading mid-stream linearizes the ring; later events must not care.
+      if (i % 7 == 3 || i + 1 == total) {
+        ASSERT_EQ(RetainedRounds(log), model.rounds) << "after event " << i;
+      }
+    }
+    EXPECT_GT(log.dropped(), 0);
+    log.Clear();
+    EXPECT_EQ(log.size(), 0u);
+    EXPECT_EQ(log.dropped(), 0);
+    EXPECT_TRUE(log.events().empty());
+    // A cleared log fills and wraps again like a new one.
+    EraseFrontLog refill{capacity, {}};
+    for (int64_t i = 0; i < total; ++i) {
+      event.round = 1000000 + i;
+      log.OnEvent(event);
+      refill.Add(event.round);
+    }
+    EXPECT_EQ(RetainedRounds(log), refill.rounds);
+    EXPECT_EQ(log.dropped(), refill.dropped);
+  }
+}
+
+TEST(TraceTest, CapacityZeroLogKeepsEveryEventInOrder) {
+  TraceLog log(0);
+  TraceEvent event;
+  for (int64_t i = 0; i < 30000; ++i) {
+    event.round = i;
+    log.OnEvent(event);
+  }
+  ASSERT_EQ(log.size(), 30000u);
+  EXPECT_EQ(log.dropped(), 0);
+  for (size_t i = 0; i < log.events().size(); ++i) {
+    ASSERT_EQ(log.events()[i].round, static_cast<int64_t>(i));
+  }
+  log.Clear();
+  EXPECT_EQ(log.size(), 0u);
+  EXPECT_TRUE(log.events().empty());
+}
+
+// The facade's four observers (MultimediaFileSystem::Telemetry): once warm,
+// a round of events through them must not touch the allocator.
+TEST(TraceTest, SteadyStateRoundThroughFacadeObserversAllocatesNothing) {
+  constexpr int kStreams = 64;
+  MetricsRegistry registry;
+  TraceLog log(8192);
+  MetricsSink metrics_sink(&registry);
+  SloTracker slo;
+  FlightRecorder flight;
+  slo.set_breach_handler([&flight](uint64_t /*request*/, const std::string& description) {
+    flight.TriggerDump(description);
+  });
+  TeeSink tee;
+  tee.Add(&log);
+  tee.Add(&metrics_sink);
+  tee.Add(&slo);
+  tee.Add(&flight);
+
+  TraceEvent submit;
+  submit.kind = TraceEventKind::kSubmitAccepted;
+  for (int s = 1; s <= kStreams; ++s) {
+    submit.request = static_cast<uint64_t>(s);
+    tee.OnEvent(submit);
+  }
+  int64_t round = 0;
+  SimTime now = 0;
+  const auto run_round = [&] {
+    TraceEvent event;
+    event.kind = TraceEventKind::kRoundStart;
+    event.round = round;
+    event.k = 1;
+    event.time = now;
+    tee.OnEvent(event);
+    event.kind = TraceEventKind::kRequestServiced;
+    event.blocks = 1;
+    event.block_playback = 1000;
+    event.duration = 5;
+    for (int s = 1; s <= kStreams; ++s) {
+      event.request = static_cast<uint64_t>(s);
+      event.time = now + 5 * s;
+      tee.OnEvent(event);
+    }
+    event.kind = TraceEventKind::kRoundEnd;
+    event.request = 0;
+    event.duration = 5 * kStreams;  // half the 1000 us budget: no breach
+    event.time = now + event.duration;
+    event.blocks = kStreams;
+    tee.OnEvent(event);
+    ++round;
+    now += 1000;
+  };
+  // Warm up past the point where the log and the flight rings wrap.
+  while (log.dropped() == 0 || flight.dropped(TraceSeverity::kInfo) == 0) {
+    run_round();
+  }
+  run_round();
+
+  const int64_t before = g_allocations.load();
+  run_round();
+  const int64_t allocations = g_allocations.load() - before;
+  EXPECT_EQ(allocations, 0);
+  EXPECT_TRUE(slo.AllStreamsMeetSlo());
+  EXPECT_EQ(registry.FindCounter("scheduler.rounds")->value(), round);
 }
 
 TEST(TraceTest, BackToBackPowerCutsCountAsDistinctCrashPoints) {

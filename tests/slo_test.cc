@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <deque>
 #include <string>
 #include <vector>
 
@@ -180,6 +182,95 @@ TEST(SloTrackerTest, ReportJsonRoundTripsThroughParser) {
   EXPECT_EQ(stream.NumberOr("continuity_met", 0), 1.0);
 }
 
+TEST(SloTrackerTest, OutOfOrderIdsReportSortedAndBreachFiresOncePerStream) {
+  SloTracker tracker;
+  std::vector<uint64_t> breached;
+  tracker.set_breach_handler([&breached](uint64_t request, const std::string& description) {
+    EXPECT_NE(description.find("stream " + std::to_string(request) + " breached"),
+              std::string::npos)
+        << description;
+    breached.push_back(request);
+  });
+  // Ids arrive out of order; 40 is submitted twice (the second submit only
+  // restamps it), and 99 is serviced without ever being submitted.
+  for (const uint64_t id : {30u, 10u, 40u, 20u, 40u}) {
+    tracker.OnEvent(Submit(id, 100 * static_cast<SimTime>(id)));
+  }
+  for (int64_t round = 0; round < 4; ++round) {
+    const SimTime start = 10000 * round;
+    tracker.OnEvent(RoundStart(round, 2, start));
+    // Budget 2000 us. Round 1 runs 2500 us: every saturated stream misses.
+    const SimDuration duration = round == 1 ? 2500 : 1000;
+    for (const uint64_t id : {40u, 99u, 10u, 30u}) {
+      tracker.OnEvent(Serviced(id, 2, 1000, start + duration));
+    }
+    // 20 fetched one block of k = 2 each round: exempt, never breached.
+    tracker.OnEvent(Serviced(20, 1, 1000, start + duration));
+    tracker.OnEvent(RoundEnd(round, duration, start + duration));
+  }
+
+  EXPECT_EQ(breached, (std::vector<uint64_t>{40, 10, 30}));  // service order
+  const SloReport report = tracker.Report();
+  std::vector<uint64_t> ids;
+  for (const StreamSlo& slo : report.streams) {
+    ids.push_back(slo.request);
+  }
+  EXPECT_EQ(ids, (std::vector<uint64_t>{10, 20, 30, 40}));
+  EXPECT_EQ(report.streams[0].submit_time, 1000);
+  EXPECT_EQ(report.streams[3].submit_time, 4000);  // restamped by the second submit
+  EXPECT_EQ(report.streams[1].rounds_exempt, 4);
+  EXPECT_EQ(report.streams[2].rounds_accounted, 4);
+  EXPECT_EQ(report.BreachedStreams(), 3);
+  EXPECT_FALSE(tracker.AllStreamsMeetSlo());
+}
+
+// Service events are credited to their streams as they arrive, as far as
+// any reader can tell: a report taken mid-round, a round that never ends
+// and a submit that restamps a stream mid-round all see the same state.
+TEST(SloTrackerTest, ServicesCountBeforeTheirRoundEnds) {
+  SloTracker tracker;
+  tracker.OnEvent(Submit(1, 0));
+  tracker.OnEvent(Submit(2, 0));
+  tracker.OnEvent(RoundStart(0, 2, 0));
+  tracker.OnEvent(Serviced(1, 2, 1000, 500));
+  SloReport report = tracker.Report();
+  EXPECT_EQ(report.streams[0].blocks_transferred, 2);
+  EXPECT_EQ(report.streams[0].startup_latency, 500);
+  EXPECT_EQ(report.streams[0].rounds_accounted, 0);
+
+  // Round 0 never ends: its service stays delivered but is not accounted.
+  tracker.OnEvent(RoundStart(1, 2, 2000));
+  tracker.OnEvent(Serviced(2, 2, 1000, 2700));
+  // Stream 2 is restamped after its first service: the startup latency
+  // still counts from the submit it was serviced under.
+  tracker.OnEvent(Submit(2, 2600));
+  tracker.OnEvent(Serviced(1, 2, 1000, 2800));
+  tracker.OnEvent(RoundEnd(1, 800, 2800));
+
+  report = tracker.Report();
+  ASSERT_EQ(report.streams.size(), 2u);
+  EXPECT_EQ(report.streams[0].blocks_transferred, 4);
+  EXPECT_EQ(report.streams[0].startup_latency, 500);
+  EXPECT_EQ(report.streams[0].rounds_accounted, 1);
+  EXPECT_EQ(report.streams[1].blocks_transferred, 2);
+  EXPECT_EQ(report.streams[1].startup_latency, 2700);
+  EXPECT_EQ(report.streams[1].submit_time, 2600);
+  EXPECT_EQ(report.streams[1].rounds_accounted, 1);
+  EXPECT_EQ(report.rounds_total, 1);
+}
+
+TEST(SloTrackerTest, InOrderIdsKeepArrivalOrder) {
+  SloTracker tracker;
+  for (uint64_t id = 1; id <= 50; ++id) {
+    tracker.OnEvent(Submit(id, 0));
+  }
+  const SloReport report = tracker.Report();
+  ASSERT_EQ(report.streams.size(), 50u);
+  for (size_t i = 0; i < report.streams.size(); ++i) {
+    EXPECT_EQ(report.streams[i].request, i + 1);
+  }
+}
+
 TEST(FlightRecorderTest, ClassifiesBySeverity) {
   TraceEvent event;
   event.kind = TraceEventKind::kRoundEnd;
@@ -208,6 +299,85 @@ TEST(FlightRecorderTest, RingsDropOldestPerSeverity) {
   EXPECT_NE(dump.find("6 info dropped"), std::string::npos) << dump;
   EXPECT_NE(dump.find("round=9"), std::string::npos) << dump;
   EXPECT_EQ(dump.find("round=5"), std::string::npos) << dump;
+}
+
+// Reference model of the recorder: one drop-front deque per severity, the
+// dump merged by arrival sequence. The fixed rings must render the same text.
+std::string ReferenceDump(const std::vector<TraceEvent>& events, size_t capacity) {
+  struct Entry {
+    int64_t sequence;
+    const TraceEvent* event;
+    TraceSeverity severity;
+  };
+  std::deque<Entry> rings[3];
+  int64_t dropped[3] = {};
+  int64_t sequence = 0;
+  for (const TraceEvent& event : events) {
+    const TraceSeverity severity = ClassifyTraceEvent(event);
+    std::deque<Entry>& ring = rings[static_cast<int>(severity)];
+    if (ring.size() >= capacity) {
+      ring.pop_front();
+      ++dropped[static_cast<int>(severity)];
+    }
+    ring.push_back(Entry{sequence++, &event, severity});
+  }
+  std::vector<Entry> merged;
+  for (const auto& ring : rings) {
+    merged.insert(merged.end(), ring.begin(), ring.end());
+  }
+  std::sort(merged.begin(), merged.end(),
+            [](const Entry& a, const Entry& b) { return a.sequence < b.sequence; });
+  std::string dump = "flight recorder: " + std::to_string(merged.size()) + " events retained";
+  for (int s = 0; s < 3; ++s) {
+    if (dropped[s] > 0) {
+      dump += ", " + std::to_string(dropped[s]) + " " +
+              TraceSeverityName(static_cast<TraceSeverity>(s)) + " dropped";
+    }
+  }
+  dump += "\n";
+  for (const Entry& entry : merged) {
+    dump += "[" + std::string(TraceSeverityName(entry.severity)) + "] " +
+            TraceEventSummary(*entry.event) + "\n";
+  }
+  return dump;
+}
+
+TEST(FlightRecorderTest, WrappedRingsDumpLikeDropFrontQueues) {
+  constexpr size_t kCapacity = 8;
+  FlightRecorder recorder(FlightRecorderOptions{.ring_capacity = kCapacity, .dump_once = true});
+  std::vector<TraceEvent> events;
+  // Interleave the severities at different rates so every ring wraps more
+  // than three times, each at its own phase.
+  for (int i = 0; i < 120; ++i) {
+    TraceEvent event;
+    event.round = i;
+    event.time = 100 * i;
+    if (i % 4 == 3) {
+      event.kind = TraceEventKind::kDiskFault;
+      event.detail = i % 8 == 3 ? "transient_read" : "latent_sector";
+    } else if (i % 4 == 1) {
+      event.kind = TraceEventKind::kBlockSkipped;
+      event.request = static_cast<uint64_t>(i);
+    } else {
+      event.kind = TraceEventKind::kRequestServiced;
+      event.request = static_cast<uint64_t>(i % 5);
+    }
+    events.push_back(event);
+  }
+  std::vector<TraceEvent> fed;
+  for (const TraceEvent& event : events) {
+    recorder.OnEvent(event);
+    fed.push_back(event);
+    if (fed.size() % 13 == 0) {
+      ASSERT_EQ(recorder.Dump(), ReferenceDump(fed, kCapacity)) << "after " << fed.size();
+    }
+  }
+  for (const TraceSeverity severity :
+       {TraceSeverity::kInfo, TraceSeverity::kWarning, TraceSeverity::kCritical}) {
+    EXPECT_GT(recorder.dropped(severity), static_cast<int64_t>(2 * kCapacity))
+        << TraceSeverityName(severity);
+  }
+  EXPECT_EQ(recorder.Dump(), ReferenceDump(events, kCapacity));
 }
 
 TEST(FlightRecorderTest, CriticalEventAutoDumpsOnceUntilRearmed) {
