@@ -14,19 +14,34 @@ VideoSource::VideoSource(const MediaProfile& profile, uint64_t seed)
   assert(frame_bytes_ > 0);
 }
 
-std::vector<uint8_t> VideoSource::FramePayload(int64_t index) const {
-  // Payload bytes come from a SplitMix64 stream keyed by (seed, index):
-  // cheap, deterministic and unique per frame.
-  std::vector<uint8_t> payload(static_cast<size_t>(frame_bytes_));
-  uint64_t state = seed_ ^ (0x632be59bd9b4e019ULL * static_cast<uint64_t>(index + 1));
-  size_t i = 0;
-  while (i < payload.size()) {
-    uint64_t word = SplitMix64(state);
-    for (int b = 0; b < 8 && i < payload.size(); ++b, ++i) {
-      payload[i] = static_cast<uint8_t>(word >> (8 * b));
+std::vector<uint8_t> SyntheticFramePayload(uint64_t seed, int64_t index, size_t bytes) {
+  std::vector<uint8_t> payload(bytes);
+  uint64_t state = seed ^ (0x632be59bd9b4e019ULL * static_cast<uint64_t>(index + 1));
+  // Whole words first, unchecked: the compiler merges each word's eight
+  // byte stores into one store on any host byte order.
+  uint8_t* out = payload.data();
+  for (size_t w = 0; w < bytes / 8; ++w, out += 8) {
+    const uint64_t word = SplitMix64(state);
+    out[0] = static_cast<uint8_t>(word);
+    out[1] = static_cast<uint8_t>(word >> 8);
+    out[2] = static_cast<uint8_t>(word >> 16);
+    out[3] = static_cast<uint8_t>(word >> 24);
+    out[4] = static_cast<uint8_t>(word >> 32);
+    out[5] = static_cast<uint8_t>(word >> 40);
+    out[6] = static_cast<uint8_t>(word >> 48);
+    out[7] = static_cast<uint8_t>(word >> 56);
+  }
+  if (const size_t tail = bytes % 8; tail != 0) {
+    const uint64_t word = SplitMix64(state);
+    for (size_t b = 0; b < tail; ++b) {
+      out[b] = static_cast<uint8_t>(word >> (8 * b));
     }
   }
   return payload;
+}
+
+std::vector<uint8_t> VideoSource::FramePayload(int64_t index) const {
+  return SyntheticFramePayload(seed_, index, static_cast<size_t>(frame_bytes_));
 }
 
 VideoFrame VideoSource::NextFrame() {

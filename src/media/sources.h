@@ -23,6 +23,12 @@ struct VideoFrame {
   std::vector<uint8_t> payload;
 };
 
+// Payload of frame `index` of a video source seeded with `seed`: `bytes`
+// bytes of a SplitMix64 stream keyed by (seed, index), each word stored
+// little-endian. Cheap, deterministic and unique per frame; shared by the
+// fixed-rate and variable-rate sources.
+std::vector<uint8_t> SyntheticFramePayload(uint64_t seed, int64_t index, size_t bytes);
+
 // Produces fixed-size frames whose bytes are a deterministic function of
 // (seed, frame index), so any frame can be regenerated for verification.
 class VideoSource {

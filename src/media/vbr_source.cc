@@ -46,16 +46,7 @@ int64_t VbrVideoSource::FrameBytes(int64_t index) const {
 }
 
 std::vector<uint8_t> VbrVideoSource::FramePayload(int64_t index) const {
-  std::vector<uint8_t> payload(static_cast<size_t>(FrameBytes(index)));
-  uint64_t state = seed_ ^ (0x632be59bd9b4e019ULL * static_cast<uint64_t>(index + 1));
-  size_t i = 0;
-  while (i < payload.size()) {
-    uint64_t word = SplitMix64(state);
-    for (int b = 0; b < 8 && i < payload.size(); ++b, ++i) {
-      payload[i] = static_cast<uint8_t>(word >> (8 * b));
-    }
-  }
-  return payload;
+  return SyntheticFramePayload(seed_, index, static_cast<size_t>(FrameBytes(index)));
 }
 
 VideoFrame VbrVideoSource::NextFrame() {

@@ -393,6 +393,16 @@ void WriteBodyEvent(EventWriter& writer, const TraceEvent& event) {
       open.End();
       break;
     }
+    // Session and cluster events have no track in this export.
+    case TraceEventKind::kSessionBatched:
+    case TraceEventKind::kSessionPatched:
+    case TraceEventKind::kSessionMerged:
+    case TraceEventKind::kNodeDown:
+    case TraceEventKind::kNodeUp:
+    case TraceEventKind::kFailover:
+    case TraceEventKind::kReReplicate:
+    case TraceEventKind::kShedLoad:
+      break;
   }
 }
 

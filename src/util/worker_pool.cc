@@ -57,15 +57,34 @@ void WorkerPool::RunAll(std::vector<Task> tasks) {
     }
     return;
   }
+  // The caller runs the first task itself, then takes queued tasks until
+  // the queue is empty, and only then sleeps for tasks already running on
+  // workers. A wave of a few short tasks thus finishes on the caller when
+  // no worker wakes in time, instead of paying a sleep and a wake-up.
+  const size_t queued = tasks.size() - 1;
   {
     std::unique_lock<std::mutex> lock(mutex_);
-    in_flight_ += static_cast<int64_t>(tasks.size());
-    for (Task& task : tasks) {
-      queue_.push_back(std::move(task));
+    in_flight_ += static_cast<int64_t>(queued);
+    for (size_t i = 1; i < tasks.size(); ++i) {
+      queue_.push_back(std::move(tasks[i]));
     }
   }
-  work_ready_.notify_all();
-  Drain();
+  for (size_t i = 0; i < queued && i < threads_.size(); ++i) {
+    work_ready_.notify_one();
+  }
+  tasks[0]();
+  std::unique_lock<std::mutex> lock(mutex_);
+  while (!queue_.empty()) {
+    Task task = std::move(queue_.front());
+    queue_.pop_front();
+    lock.unlock();
+    task();
+    lock.lock();
+    if (--in_flight_ == 0) {
+      work_done_.notify_all();
+    }
+  }
+  work_done_.wait(lock, [this] { return in_flight_ == 0; });
 }
 
 void WorkerPool::Submit(Task task) {

@@ -4,13 +4,12 @@
 // The simulator's timing semantics are single-threaded and deterministic;
 // the pool exists only to spend real CPU faster on work that is already
 // independent in simulated time — the per-member requests of one DiskArray
-// wave, chunked CRC-64 sweeps, exporter serialization. Two execution
-// shapes are offered:
+// wave, exporter serialization. Two execution shapes are offered:
 //
-//  - RunAll: a parallel-for with a join barrier. The call returns only
-//    when every task has finished, so the caller can merge per-task
-//    results in a fixed order afterwards; determinism is the merger's
-//    job, not the scheduler's.
+//  - RunAll: a parallel-for with a join barrier. The caller runs tasks
+//    too, and the call returns only when every task has finished, so the
+//    caller can merge per-task results in a fixed order afterwards;
+//    determinism is the merger's job, not the scheduler's.
 //  - Submit/Drain: fire-and-forget background tasks (off-round-path
 //    serialization), joined explicitly before their outputs are read.
 //
@@ -48,8 +47,10 @@ class WorkerPool {
   int workers() const { return workers_; }
 
   // Runs every task and returns when all of them have completed (the
-  // wave barrier). Tasks must be independent: they may not submit to or
-  // drain this pool, and any shared state they touch must be their own.
+  // wave barrier). The calling thread runs the first task and then any
+  // still-queued ones, so tasks may run on the caller or on a worker.
+  // Tasks must be independent: they may not submit to or drain this pool,
+  // and any shared state they touch must be their own.
   void RunAll(std::vector<Task> tasks);
 
   // Enqueues one background task (no join). Pair with Drain before

@@ -54,7 +54,9 @@ MultimediaFileSystem::MultimediaFileSystem(const FileSystemConfig& config) : con
       config_.scheduler.trace = &telemetry_->tee;
     }
   }
-  DiskOptions disk_options{config.retain_data, config.faults};
+  DiskOptions disk_options;
+  disk_options.retain_data = config.retain_data;
+  disk_options.faults = config.faults;
   disk_options.image_path = config.disk_image_path;
   disk_options.image_truncate = config.disk_image_truncate;
   if (disk_options.image_path.empty()) {
@@ -292,8 +294,7 @@ Result<SessionTicket> MultimediaFileSystem::OpenSession(const std::string& user,
 Status MultimediaFileSystem::Checkpoint() {
   Result<ImageReceipt> receipt =
       SaveImage(store_.get(), ropes_.get(), text_files_.get(),
-                image_receipt_.valid ? &image_receipt_ : nullptr,
-                config_.scheduler.worker_pool);
+                image_receipt_.valid ? &image_receipt_ : nullptr);
   if (!receipt.ok()) {
     // A failed save committed nothing: the previous receipt (and journal
     // generation) remain the live ones.
@@ -319,7 +320,7 @@ Status MultimediaFileSystem::Recover() {
 
   int64_t journal_resume_offset = 0;
   int64_t journal_resume_sequence = 0;
-  Result<LoadedImage> image = LoadImage(disk_.get(), config_.scheduler.worker_pool);
+  Result<LoadedImage> image = LoadImage(disk_.get());
   if (image.ok()) {
     store_ = std::move(image->store);
     ropes_ = std::move(image->ropes);

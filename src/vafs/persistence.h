@@ -62,9 +62,9 @@ struct ImageReceipt {
 // commits it with the A/B root protocol: write-new, verify by read-back,
 // flip the root, then free the old catalog. On any failure the previous
 // image remains the committed one and everything allocated by this call is
-// released. A worker pool (optional) spreads the catalog-blob CRC-64 over
-// chunk tasks (src/util/checksum.h, Crc64Parallel) — bit-identical to the
-// serial checksum, just off the caller's critical path.
+// released. `pool` is accepted and unused: catalog blobs are kilobytes
+// (DESIGN.md §12), far below any size where splitting their CRC-64 over
+// workers pays, so the checksum is always the serial one.
 Result<ImageReceipt> SaveImage(StrandStore* store, const RopeServer* ropes,
                                const TextFileService* texts,
                                const ImageReceipt* previous = nullptr,
@@ -90,8 +90,8 @@ struct LoadedImage {
 // then replays any journaled intents of that generation. The disk must
 // outlive the returned layers. Returns kNotFound if neither root slot
 // carries the image magic (pristine disk), kInvalidArgument if roots exist
-// but no catalog is readable (Fsck territory). The optional pool
-// parallelizes the catalog checksum verification, as in SaveImage.
+// but no catalog is readable (Fsck territory). `pool` is unused, as in
+// SaveImage.
 Result<LoadedImage> LoadImage(Disk* disk, WorkerPool* pool = nullptr);
 
 // --- Intent journal ----------------------------------------------------------

@@ -6,6 +6,7 @@
 #include "src/media/media.h"
 #include "src/media/silence.h"
 #include "src/media/sources.h"
+#include "src/util/checksum.h"
 #include "tests/test_support.h"
 
 namespace vafs {
@@ -50,6 +51,32 @@ TEST(VideoSourceTest, FramesDifferAcrossIndexAndSeed) {
   EXPECT_NE(source.FramePayload(0), source.FramePayload(1));
   VideoSource other(TestVideo(), 43);
   EXPECT_NE(source.FramePayload(0), other.FramePayload(0));
+}
+
+// Frame payloads are the recorded media bytes: read-back verification,
+// payload digests and every benchmark receipt are computed from them, so
+// their exact bytes are pinned. Sizes cover whole words, a word tail and a
+// frame shorter than one word.
+TEST(VideoSourceTest, FramePayloadBytesArePinned) {
+  struct Case {
+    uint64_t seed;
+    int64_t frame_bytes;
+    int64_t index;
+    uint64_t crc;
+  };
+  const Case cases[] = {
+      {1, 2048, 0, 0x1D01280AF8CFE014ULL},
+      {42, 2048, 7, 0x205D7DF58CAA2BFEULL},
+      {20261017, 2051, 0, 0xAFD6D77F04E60BCCULL},
+      {20261017, 2051, 12345, 0x246754BC599EFB87ULL},
+      {7, 5, 3, 0x16B08A4FAA3FFE54ULL},
+  };
+  for (const Case& c : cases) {
+    const VideoSource source(MediaProfile{Medium::kVideo, 30.0, 8 * c.frame_bytes}, c.seed);
+    const std::vector<uint8_t> payload = source.FramePayload(c.index);
+    EXPECT_EQ(static_cast<int64_t>(payload.size()), c.frame_bytes);
+    EXPECT_EQ(Crc64(payload), c.crc) << "seed " << c.seed << " index " << c.index;
+  }
 }
 
 TEST(AudioSourceTest, ProducesRequestedCounts) {

@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <cstdlib>
 #include <limits>
 #include <set>
+#include <span>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -201,32 +204,56 @@ TEST(PrngTest, NextInRangeCrossingZeroStaysInBounds) {
   }
 }
 
-TEST(ChecksumTest, CombineMatchesConcatenation) {
-  Prng prng(31337);
-  std::vector<uint8_t> a(1021);
-  std::vector<uint8_t> b(4099);
-  for (auto& byte : a) byte = static_cast<uint8_t>(prng.Next());
-  for (auto& byte : b) byte = static_cast<uint8_t>(prng.Next());
-  std::vector<uint8_t> joined = a;
-  joined.insert(joined.end(), b.begin(), b.end());
-  EXPECT_EQ(Crc64Combine(Crc64(a), Crc64(b), b.size()), Crc64(joined));
-  // Zero-length tail is the identity.
-  EXPECT_EQ(Crc64Combine(Crc64(a), 0, 0), Crc64(a));
+std::vector<uint8_t> RandomBytes(uint64_t seed, size_t size) {
+  Prng prng(seed);
+  std::vector<uint8_t> bytes(size);
+  for (auto& byte : bytes) byte = static_cast<uint8_t>(prng.Next());
+  return bytes;
 }
 
-TEST(ChecksumTest, ParallelCrcMatchesSerial) {
-  Prng prng(60065);
-  std::vector<uint8_t> data(300 * 1024);
-  for (auto& byte : data) byte = static_cast<uint8_t>(prng.Next());
-  const uint64_t serial = Crc64(data);
-  EXPECT_EQ(Crc64Parallel(data, nullptr), serial);
-  WorkerPool solo(1);
-  EXPECT_EQ(Crc64Parallel(data, &solo), serial);
-  WorkerPool pool(4);
-  EXPECT_EQ(Crc64Parallel(data, &pool), serial);
-  // Small inputs take the serial path but must agree too.
-  const std::vector<uint8_t> small(100, 0xAB);
-  EXPECT_EQ(Crc64Parallel(small, &pool), Crc64(small));
+// CRC-64/XZ straight from its definition, one bit at a time: the
+// reference every table-driven step must reproduce.
+uint64_t BitwiseCrc64(std::span<const uint8_t> bytes) {
+  uint64_t crc = ~0ULL;
+  for (uint8_t byte : bytes) {
+    crc ^= byte;
+    for (int bit = 0; bit < 8; ++bit) {
+      crc = (crc & 1) ? (crc >> 1) ^ 0xC96C'5795'D787'0F42ULL : crc >> 1;
+    }
+  }
+  return ~crc;
+}
+
+TEST(ChecksumTest, CheckValue) {
+  const std::string check = "123456789";
+  EXPECT_EQ(Crc64(std::span(reinterpret_cast<const uint8_t*>(check.data()), check.size())),
+            0x995D'C9BB'DF19'39FAULL);
+  EXPECT_EQ(Crc64({}), 0u);
+}
+
+TEST(ChecksumTest, MatchesBitwiseReference) {
+  // Every length up to 300 at every start offset within a 16-byte step, so
+  // each (main-loop steps, tail length, alignment) combination is covered.
+  const std::vector<uint8_t> data = RandomBytes(4242, 300 + 15);
+  for (size_t offset = 0; offset < 16; ++offset) {
+    for (size_t length = 0; length <= 300; ++length) {
+      const std::span<const uint8_t> bytes(data.data() + offset, length);
+      ASSERT_EQ(Crc64(bytes), BitwiseCrc64(bytes)) << "offset " << offset << " length " << length;
+    }
+  }
+  // One vod_array transfer's worth.
+  const std::vector<uint8_t> transfer = RandomBytes(48, 48 * 1024);
+  EXPECT_EQ(Crc64(transfer), BitwiseCrc64(transfer));
+}
+
+TEST(ChecksumTest, UpdateIsSplitInvariant) {
+  const std::vector<uint8_t> data = RandomBytes(1024, 1024);
+  const uint64_t whole = Crc64(data);
+  const std::span<const uint8_t> bytes(data);
+  for (size_t split = 0; split <= bytes.size(); ++split) {
+    const uint64_t head = Crc64Update(kCrc64Init, bytes.first(split));
+    ASSERT_EQ(Crc64Finish(Crc64Update(head, bytes.subspan(split))), whole) << "split " << split;
+  }
 }
 
 TEST(WorkerPoolTest, RunAllExecutesEveryTaskAndJoins) {
@@ -240,6 +267,50 @@ TEST(WorkerPoolTest, RunAllExecutesEveryTaskAndJoins) {
   pool.RunAll(std::move(tasks));
   // RunAll is a barrier: every task observed complete at return.
   EXPECT_EQ(done.load(), 100);
+}
+
+TEST(WorkerPoolTest, RunAllCallerTakesQueuedTasksWhileWorkersAreBusy) {
+  // Hold every worker with a background task; RunAll's tasks must then run
+  // on the caller, which takes them from the queue rather than sleeping
+  // until a worker frees up. The last task releases the workers. A watchdog
+  // releases them too after five seconds, so a RunAll that waits for
+  // workers fails the test instead of hanging it.
+  constexpr int kWorkers = 2;
+  WorkerPool pool(kWorkers);
+  std::atomic<bool> release{false};
+  std::atomic<int> held{0};
+  for (int i = 0; i < kWorkers; ++i) {
+    pool.Submit([&release, &held] {
+      held.fetch_add(1);
+      while (!release.load()) {
+        std::this_thread::yield();
+      }
+    });
+  }
+  while (held.load() < kWorkers) {
+    std::this_thread::yield();
+  }
+  std::thread watchdog([&release] {
+    for (int i = 0; i < 500 && !release.load(); ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+    release.store(true);
+  });
+  std::vector<std::thread::id> ran_on(3);
+  std::vector<WorkerPool::Task> tasks;
+  for (size_t i = 0; i < ran_on.size(); ++i) {
+    tasks.push_back([&ran_on, &release, i] {
+      ran_on[i] = std::this_thread::get_id();
+      if (i + 1 == ran_on.size()) {
+        release.store(true);
+      }
+    });
+  }
+  pool.RunAll(std::move(tasks));
+  watchdog.join();
+  for (const std::thread::id& id : ran_on) {
+    EXPECT_EQ(id, std::this_thread::get_id());
+  }
 }
 
 TEST(WorkerPoolTest, SingleWorkerRunsInline) {

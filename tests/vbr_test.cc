@@ -5,6 +5,7 @@
 #include "src/media/vbr_source.h"
 #include "src/msm/recorder.h"
 #include "src/msm/service_scheduler.h"
+#include "src/util/checksum.h"
 #include "tests/test_support.h"
 
 namespace vafs {
@@ -36,6 +37,32 @@ TEST(VbrSourceTest, DeterministicPayloads) {
     const VideoFrame frame = a.NextFrame();
     EXPECT_EQ(frame.payload, b.FramePayload(i));
     EXPECT_EQ(static_cast<int64_t>(frame.payload.size()), a.FrameBytes(i));
+  }
+}
+
+// Payload bytes are pinned (sizes and CRC-64s): intra frames are whole
+// words, delta frames end in word tails of every length.
+TEST(VbrSourceTest, FramePayloadBytesArePinned) {
+  struct Case {
+    uint64_t seed;
+    int64_t index;
+    int64_t bytes;
+    uint64_t crc;
+  };
+  const Case cases[] = {
+      {7, 0, 2048, 0xBB15D6743B97A74CULL},
+      {7, 1, 736, 0x6F35D23C5F79FB08ULL},
+      {7, 2, 745, 0x21A17C6116AC5B5EULL},
+      {7, 13, 884, 0x27C132EC7D27DBDFULL},
+      {20261017, 4, 580, 0x24CD6CBE16E75E16ULL},
+      {20261017, 999, 397, 0xA267D9BB935825A2ULL},
+  };
+  for (const Case& c : cases) {
+    const VbrVideoSource source(TestVideo(), TestVbr(), c.seed);
+    const std::vector<uint8_t> payload = source.FramePayload(c.index);
+    EXPECT_EQ(static_cast<int64_t>(payload.size()), c.bytes)
+        << "seed " << c.seed << " index " << c.index;
+    EXPECT_EQ(Crc64(payload), c.crc) << "seed " << c.seed << " index " << c.index;
   }
 }
 
