@@ -3,10 +3,12 @@
 //
 // The same planned-round workload (8 streams, one strand each, spread
 // across the array's address space, payload checksumming ON so every
-// member task carries real CPU) runs once per worker count. For each run
-// the bench reports wall-clock rounds/sec plus four digests of the
-// simulated-time results — trace stream, SLO report, payload CRCs and the
-// final completion time. The engine's contract is that every digest is
+// member task carries real CPU) runs kRepetitions times per worker count;
+// one run lasts only tens of milliseconds, so the fastest repetition is
+// reported, and every repetition must reproduce the first one's digests.
+// For each worker count the bench reports wall-clock rounds/sec plus four
+// digests of the simulated-time results — trace stream, SLO report,
+// payload CRCs and the final completion time. The engine's contract is that every digest is
 // identical across worker counts; tools/check_wallclock.py gates on that
 // (hard) and on multi-worker throughput >= single-worker (relaxed to
 // advisory when the runner has one hardware thread, where no speedup is
@@ -36,6 +38,7 @@ constexpr int kMembers = 8;
 constexpr int kStreams = 8;
 constexpr double kStreamSeconds = 20.0;
 constexpr int kWorkerCounts[] = {1, 2, 4, 8};
+constexpr int kRepetitions = 5;
 
 // Seek-dominated member geometry (as in bench_roundplan): waves carry
 // enough mechanical time that per-member tasks are worth parallelizing.
@@ -170,6 +173,28 @@ WallclockOutcome RunWorkload(int workers) {
   return outcome;
 }
 
+// Same simulated-time results: every digest, the completion instant, the
+// round count and the admitted streams.
+bool SameSimulation(const WallclockOutcome& a, const WallclockOutcome& b) {
+  return a.trace_digest == b.trace_digest && a.trace_events == b.trace_events &&
+         a.slo_digest == b.slo_digest && a.payload_digest == b.payload_digest &&
+         a.completion == b.completion && a.rounds == b.rounds && a.admitted == b.admitted;
+}
+
+// The fastest of kRepetitions runs at one worker count. Sets *repeatable
+// to false when any repetition's simulated results differ from the first.
+WallclockOutcome RunBestOf(int workers, bool* repeatable) {
+  WallclockOutcome best = RunWorkload(workers);
+  for (int r = 1; r < kRepetitions; ++r) {
+    const WallclockOutcome run = RunWorkload(workers);
+    *repeatable = *repeatable && SameSimulation(run, best);
+    if (run.wall_sec < best.wall_sec) {
+      best = run;
+    }
+  }
+  return best;
+}
+
 void WriteWallclockJson(const std::vector<WallclockOutcome>& outcomes) {
   const char* path = "BENCH_wallclock_metrics.json";
   std::FILE* file = std::fopen(path, "w");
@@ -208,15 +233,18 @@ void WriteWallclockJson(const std::vector<WallclockOutcome>& outcomes) {
   std::printf("metrics: %s\n", path);
 }
 
-void PrintWallclockTables() {
+// Returns false when the simulated results broke determinism, across
+// worker counts or across the repetitions of one worker count.
+bool PrintWallclockTables() {
   PrintHeader("wall-clock engine", "parallel member waves, identical simulated results");
   PrintOperatingPoint(WallclockDisk());
-  std::printf("host threads: %u, array members: %d, streams: %d\n",
-              std::thread::hardware_concurrency(), kMembers, kStreams);
+  std::printf("host threads: %u, array members: %d, streams: %d, best of %d repetitions\n",
+              std::thread::hardware_concurrency(), kMembers, kStreams, kRepetitions);
 
   std::vector<WallclockOutcome> outcomes;
+  bool repeatable = true;
   for (const int workers : kWorkerCounts) {
-    outcomes.push_back(RunWorkload(workers));
+    outcomes.push_back(RunBestOf(workers, &repeatable));
   }
 
   std::printf("%8s | %9s | %7s | %11s | %16s | %16s\n", "workers", "wall (s)", "rounds",
@@ -229,16 +257,16 @@ void PrintWallclockTables() {
 
   bool identical = true;
   for (const WallclockOutcome& run : outcomes) {
-    identical = identical && run.trace_digest == outcomes[0].trace_digest &&
-                run.slo_digest == outcomes[0].slo_digest &&
-                run.payload_digest == outcomes[0].payload_digest &&
-                run.completion == outcomes[0].completion && run.rounds == outcomes[0].rounds;
+    identical = identical && SameSimulation(run, outcomes[0]);
   }
   std::printf("simulated-time results identical across worker counts: %s\n",
               identical ? "yes" : "NO -- DETERMINISM BROKEN");
+  std::printf("simulated-time results identical across repetitions: %s\n",
+              repeatable ? "yes" : "NO -- DETERMINISM BROKEN");
   std::printf("(wall-clock speed is allowed to change; simulated time is not)\n");
 
   WriteWallclockJson(outcomes);
+  return identical && repeatable;
 }
 
 void BM_WallclockRound(benchmark::State& state) {
@@ -253,8 +281,8 @@ BENCHMARK(BM_WallclockRound)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond);
 }  // namespace vafs
 
 int main(int argc, char** argv) {
-  vafs::PrintWallclockTables();
+  const bool deterministic = vafs::PrintWallclockTables();
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
-  return 0;
+  return deterministic ? 0 : 1;
 }

@@ -76,12 +76,17 @@ std::vector<int64_t> Disk::PopulatedSectors() const {
     return image_->PopulatedSectors();  // bitmap scan, already sorted
   }
   std::vector<int64_t> sectors;
-  sectors.reserve(store_.size());
-  for (const auto& [sector, data] : store_) {
-    sectors.push_back(sector);
+  for (size_t p = 0; p < pages_.size(); ++p) {
+    if (pages_[p] == nullptr) {
+      continue;
+    }
+    for (int64_t within = 0; within < kPageSectors; ++within) {
+      if (pages_[p]->has(within)) {
+        sectors.push_back(static_cast<int64_t>(p) * kPageSectors + within);
+      }
+    }
   }
-  std::sort(sectors.begin(), sectors.end());
-  return sectors;
+  return sectors;  // page order, then sector order within a page: sorted
 }
 
 bool Disk::SyncImage() { return image_ == nullptr || image_->Sync(); }
@@ -101,15 +106,22 @@ void Disk::CopyOut(int64_t start_sector, int64_t count, std::vector<uint8_t>* ou
     }
     return;
   }
-  for (int64_t i = 0; i < count; ++i) {
-    auto it = store_.find(start_sector + i);
-    if (it != store_.end()) {
-      std::copy(it->second.begin(), it->second.end(),
-                out->begin() + static_cast<ptrdiff_t>(i * sector_bytes));
-    } else {
-      std::memset(out->data() + static_cast<ptrdiff_t>(i * sector_bytes), 0,
-                  static_cast<size_t>(sector_bytes));
+  for (int64_t i = 0; i < count;) {
+    const int64_t sector = start_sector + i;
+    const size_t page_index = static_cast<size_t>(sector / kPageSectors);
+    const int64_t first = sector % kPageSectors;
+    const int64_t run = std::min(count - i, kPageSectors - first);
+    uint8_t* dst = out->data() + static_cast<ptrdiff_t>(i * sector_bytes);
+    const Page* page = page_index < pages_.size() ? pages_[page_index].get() : nullptr;
+    for (int64_t within = first; within < first + run; ++within, dst += sector_bytes) {
+      if (page != nullptr && page->has(within)) {
+        std::memcpy(dst, page->bytes.get() + within * sector_bytes,
+                    static_cast<size_t>(sector_bytes));
+      } else {
+        std::memset(dst, 0, static_cast<size_t>(sector_bytes));
+      }
     }
+    i += run;
   }
 }
 
@@ -120,7 +132,20 @@ void Disk::PersistSector(int64_t sector, const uint8_t* data) {
     image_->MarkPopulated(sector);
     return;
   }
-  store_[sector] = std::vector<uint8_t>(data, data + sector_bytes);
+  const size_t page_index = static_cast<size_t>(sector / kPageSectors);
+  if (page_index >= pages_.size()) {
+    pages_.resize(page_index + 1);
+  }
+  std::unique_ptr<Page>& page = pages_[page_index];
+  if (page == nullptr) {
+    page = std::make_unique<Page>();
+    // Left uninitialized: only populated sectors are ever read back.
+    page->bytes = std::make_unique_for_overwrite<uint8_t[]>(
+        static_cast<size_t>(kPageSectors * sector_bytes));
+  }
+  const int64_t within = sector % kPageSectors;
+  std::memcpy(page->bytes.get() + within * sector_bytes, data, static_cast<size_t>(sector_bytes));
+  page->populated[within / 64] |= uint64_t{1} << (within % 64);
 }
 
 Status Disk::Faulted(FaultKind kind, int64_t start_sector, int64_t sectors,

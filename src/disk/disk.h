@@ -32,7 +32,6 @@
 #include <memory>
 #include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "src/disk/disk_image.h"
@@ -50,7 +49,7 @@ struct DiskOptions {
   // anything and leaves all timing bit-identical.
   FaultOptions faults;
   // When non-empty (and retain_data is on), sector payloads live in an
-  // mmap'd image file at this path instead of per-sector heap vectors
+  // mmap'd image file at this path instead of the sparse heap pages
   // (DESIGN.md section 15). Timing and trace output are identical either
   // way; an unopenable path falls back to the in-memory store (see
   // Disk::image_backed). `image_truncate` discards any existing file
@@ -190,8 +189,17 @@ class Disk {
   // Persists one sector's payload into the active backing store.
   void PersistSector(int64_t sector, const uint8_t* data);
 
-  // Sparse store: sector number -> sector payload. Unused when image-backed.
-  std::unordered_map<int64_t, std::vector<uint8_t>> store_;
+  // Sparse store, unused when image-backed: pages of kPageSectors
+  // consecutive sectors, indexed by sector / kPageSectors and created on
+  // first write. A page is one payload allocation plus a populated mask;
+  // sectors never written read as zeros.
+  static constexpr int64_t kPageSectors = 128;
+  struct Page {
+    uint64_t populated[kPageSectors / 64] = {};
+    std::unique_ptr<uint8_t[]> bytes;  // kPageSectors * bytes_per_sector
+    bool has(int64_t within) const { return (populated[within / 64] >> (within % 64)) & 1; }
+  };
+  std::vector<std::unique_ptr<Page>> pages_;
   std::unique_ptr<DiskImage> image_;
   std::string image_error_;
 };

@@ -53,9 +53,7 @@ bool BlockCache::Lookup(int64_t sector, int64_t sectors) {
     ++stats_.misses;
     return false;
   }
-  lru_.erase(it->second.lru);
-  lru_.push_back(sector);
-  it->second.lru = std::prev(lru_.end());
+  lru_.splice(lru_.end(), lru_, it->second.lru);  // most recent; no node churn
   ++stats_.hits;
   ++window_hits_;
   return true;
@@ -70,8 +68,10 @@ bool BlockCache::Contains(int64_t sector, int64_t sectors) const {
 void BlockCache::Evict(std::map<int64_t, Entry>::iterator it) {
   stats_.resident_bytes -= it->second.bytes;
   --stats_.resident_entries;
-  lru_.erase(it->second.lru);
-  entries_.erase(it);
+  // Keep both nodes for the next Insert: a full cache then churns without
+  // touching the allocator. Spares never exceed the peak resident count.
+  spare_lru_.splice(spare_lru_.end(), lru_, it->second.lru);
+  spare_entries_.push_back(entries_.extract(it));
 }
 
 bool BlockCache::MakeRoom(int64_t bytes) {
@@ -106,9 +106,7 @@ void BlockCache::Insert(int64_t sector, int64_t sectors, int64_t bytes, bool int
   if (existing != entries_.end()) {
     // Re-read of a resident extent: refresh recency and bias only.
     existing->second.biased = existing->second.biased || interval_biased;
-    lru_.erase(existing->second.lru);
-    lru_.push_back(sector);
-    existing->second.lru = std::prev(lru_.end());
+    lru_.splice(lru_.end(), lru_, existing->second.lru);
     return;
   }
   if (!MakeRoom(bytes)) {
@@ -119,9 +117,22 @@ void BlockCache::Insert(int64_t sector, int64_t sectors, int64_t bytes, bool int
   entry.sectors = sectors;
   entry.bytes = bytes;
   entry.biased = interval_biased;
-  lru_.push_back(sector);
+  if (spare_lru_.empty()) {
+    lru_.push_back(sector);
+  } else {
+    lru_.splice(lru_.end(), spare_lru_, spare_lru_.begin());
+    lru_.back() = sector;
+  }
   entry.lru = std::prev(lru_.end());
-  entries_.emplace(sector, entry);
+  if (spare_entries_.empty()) {
+    entries_.emplace(sector, entry);
+  } else {
+    std::map<int64_t, Entry>::node_type node = std::move(spare_entries_.back());
+    spare_entries_.pop_back();
+    node.key() = sector;
+    node.mapped() = entry;
+    entries_.insert(std::move(node));
+  }
   stats_.resident_bytes += bytes;
   ++stats_.resident_entries;
   ++stats_.insertions;

@@ -168,6 +168,9 @@ class BlockCache {
   BlockCacheStats stats_;
   std::map<int64_t, Entry> entries_;  // by start sector
   std::list<int64_t> lru_;            // front = least recently used
+  // Evicted nodes of both containers, reused by Insert.
+  std::vector<std::map<int64_t, Entry>::node_type> spare_entries_;
+  std::list<int64_t> spare_lru_;
   int64_t window_lookups_ = 0;
   int64_t window_hits_ = 0;
   PagePool pool_;

@@ -1,6 +1,7 @@
 #include "src/msm/round_planner.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <map>
 #include <tuple>
@@ -218,7 +219,8 @@ const RoundPlan& IncrementalRoundPlanner::Plan(const DiskModel& model,
   plan_.deduped_blocks = 0;
   groups_.clear();
   refs_.clear();
-  group_map_.clear();
+  ResetGroupIndex(2 * inputs.size());
+  size_t read_groups = 0;
 
   // Phase 1: per-input runs (cached) grouped by extent in encounter order.
   int64_t slot_base = 0;
@@ -242,8 +244,15 @@ const RoundPlan& IncrementalRoundPlanner::Plan(const DiskModel& model,
          ++run_index) {
       const CachedRun& run = cached.runs[static_cast<size_t>(run_index)];
       const ExtentKey key{run.start_sector, run.sectors};
-      auto [it, inserted] = group_map_.try_emplace(key, static_cast<int32_t>(groups_.size()));
-      if (inserted) {
+      GroupSlot* slot = &GroupSlotFor(key);
+      if (slot->group < 0) {
+        if (2 * (read_groups + 1) > group_index_.size()) {
+          GrowGroupIndex();
+          slot = &GroupSlotFor(key);
+        }
+        slot->key = key;
+        slot->group = static_cast<int32_t>(groups_.size());
+        ++read_groups;
         Group group;
         group.start_sector = run.start_sector;
         group.sectors = run.sectors;
@@ -254,7 +263,7 @@ const RoundPlan& IncrementalRoundPlanner::Plan(const DiskModel& model,
       } else {
         plan_.deduped_blocks += run.rider_count;
       }
-      Group& group = groups_[static_cast<size_t>(it->second)];
+      Group& group = groups_[static_cast<size_t>(slot->group)];
       const int32_t ref_index = static_cast<int32_t>(refs_.size());
       refs_.push_back(GroupRef{&cached, run_index, slot_base, -1});
       if (group.last_ref >= 0) {
@@ -295,16 +304,16 @@ const RoundPlan& IncrementalRoundPlanner::Plan(const DiskModel& model,
   group_clean_.assign(groups_.size(), 0);
   clean_order_.clear();
   for (const OrderedIdentity& identity : last_order_) {
-    auto it = group_map_.find(ExtentKey{identity.start_sector, identity.sectors});
-    if (it == group_map_.end()) {
+    const int32_t index = GroupSlotFor(ExtentKey{identity.start_sector, identity.sectors}).group;
+    if (index < 0) {
       continue;
     }
-    const Group& group = groups_[static_cast<size_t>(it->second)];
-    if (group.member != identity.member || group_clean_[static_cast<size_t>(it->second)]) {
+    const Group& group = groups_[static_cast<size_t>(index)];
+    if (group.member != identity.member || group_clean_[static_cast<size_t>(index)]) {
       continue;
     }
-    group_clean_[static_cast<size_t>(it->second)] = 1;
-    clean_order_.push_back(it->second);
+    group_clean_[static_cast<size_t>(index)] = 1;
+    clean_order_.push_back(index);
   }
   bool clean_sorted = true;
   for (size_t i = 1; i < clean_order_.size(); ++i) {
@@ -413,6 +422,40 @@ const RoundPlan& IncrementalRoundPlanner::Plan(const DiskModel& model,
     segment_begin = segment_end;
   }
   return plan_;
+}
+
+void IncrementalRoundPlanner::ResetGroupIndex(size_t slots) {
+  const size_t size = std::bit_ceil(std::max<size_t>(64, slots));
+  group_index_.assign(size, GroupSlot{});
+  group_shift_ = 64 - std::countr_zero(size);
+}
+
+void IncrementalRoundPlanner::GrowGroupIndex() {
+  ResetGroupIndex(2 * group_index_.size());
+  for (size_t index = 0; index < groups_.size(); ++index) {
+    const Group& group = groups_[index];
+    if (!group.is_append) {
+      const ExtentKey key{group.start_sector, group.sectors};
+      GroupSlot& slot = GroupSlotFor(key);
+      slot.key = key;
+      slot.group = static_cast<int32_t>(index);
+    }
+  }
+}
+
+IncrementalRoundPlanner::GroupSlot& IncrementalRoundPlanner::GroupSlotFor(const ExtentKey& key) {
+  const size_t mask = group_index_.size() - 1;
+  // Fibonacci hashing of the start sector with the length folded into the
+  // high bits: the top bits of the product pick the home slot.
+  const uint64_t mixed =
+      (static_cast<uint64_t>(key.start) ^ (static_cast<uint64_t>(key.sectors) << 40)) *
+      0x9E3779B97F4A7C15ull;
+  for (size_t s = static_cast<size_t>(mixed >> group_shift_);; s = (s + 1) & mask) {
+    GroupSlot& slot = group_index_[s];
+    if (slot.group < 0 || slot.key == key) {
+      return slot;
+    }
+  }
 }
 
 void IncrementalRoundPlanner::Forget(uint64_t request) { cache_.erase(request); }

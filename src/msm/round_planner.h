@@ -205,13 +205,10 @@ class IncrementalRoundPlanner {
       return start == other.start && sectors == other.sectors;
     }
   };
-  struct ExtentKeyHash {
-    size_t operator()(const ExtentKey& key) const {
-      uint64_t h = 1469598103934665603ULL;
-      h = (h ^ static_cast<uint64_t>(key.start)) * 1099511628211ULL;
-      h = (h ^ static_cast<uint64_t>(key.sectors)) * 1099511628211ULL;
-      return static_cast<size_t>(h);
-    }
+  // One slot of the round's extent -> group index (group < 0: empty).
+  struct GroupSlot {
+    ExtentKey key;
+    int32_t group = -1;
   };
   struct OrderedIdentity {
     int member = 0;
@@ -220,6 +217,12 @@ class IncrementalRoundPlanner {
   };
 
   void RebuildInput(const PlanInput& input, int members, CachedInput* cached);
+  // Empties the group index with room for at least `slots` slots.
+  void ResetGroupIndex(size_t slots);
+  // Doubles the group index and re-enters every read group of groups_.
+  void GrowGroupIndex();
+  // The slot holding `key`, or the empty slot where it belongs.
+  GroupSlot& GroupSlotFor(const ExtentKey& key);
 
   std::unordered_map<uint64_t, CachedInput> cache_;
   RoundPlan plan_;
@@ -228,7 +231,11 @@ class IncrementalRoundPlanner {
   // Round scratch (cleared, capacity kept).
   std::vector<Group> groups_;
   std::vector<GroupRef> refs_;
-  std::unordered_map<ExtentKey, int32_t, ExtentKeyHash> group_map_;
+  // Extent -> index into groups_: open addressing with linear probing at
+  // load <= 1/2, emptied every round with its capacity kept, so grouping
+  // allocates nothing once warm. Lookup-only; its order is never observed.
+  std::vector<GroupSlot> group_index_;
+  int group_shift_ = 0;
   std::vector<int32_t> clean_order_;
   std::vector<int32_t> dirty_order_;
   std::vector<int32_t> merged_order_;

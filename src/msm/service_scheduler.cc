@@ -743,6 +743,9 @@ const std::vector<PlanInput>& ServiceScheduler::BuildPlanInputs(SimTime round_st
                           : nullptr;
   // Reuse plan_inputs_ (and each element's candidate vector) across rounds:
   // with a steady rotation the resize is a no-op and nothing allocates.
+  const int64_t lookahead = cache != nullptr ? CacheLookaheadBlocks() : 0;
+  lookahead_sectors_.clear();
+  input_requests_.clear();
   size_t used = 0;
   for (RequestId id : service_order_) {
     ActiveRequest& request = RequestAt(id);
@@ -752,6 +755,8 @@ const std::vector<PlanInput>& ServiceScheduler::BuildPlanInputs(SimTime round_st
     if (used == plan_inputs_.size()) {
       plan_inputs_.emplace_back();
     }
+    request.plan_input = static_cast<int32_t>(used);
+    input_requests_.push_back(&request);
     PlanInput& input = plan_inputs_[used++];
     input.request = id;
     input.blocks.clear();
@@ -787,6 +792,13 @@ const std::vector<PlanInput>& ServiceScheduler::BuildPlanInputs(SimTime round_st
         }
         input.blocks.push_back(candidate);
       }
+      const int64_t window_end = std::min(request.next_block + lookahead, size);
+      for (int64_t b = request.next_block; b < window_end; ++b) {
+        const PrimaryEntry& entry = playback.blocks[static_cast<size_t>(b)];
+        if (!entry.IsSilence()) {
+          lookahead_sectors_.push_back(entry.sector);
+        }
+      }
     } else {
       // Blocks the capture device has finished by round start, up to k.
       EnsureRecordingDevices(&request, round_start);
@@ -802,6 +814,28 @@ const std::vector<PlanInput>& ServiceScheduler::BuildPlanInputs(SimTime round_st
   }
   plan_inputs_.resize(used);
   return plan_inputs_;
+}
+
+bool ServiceScheduler::LookaheadGatherIsCurrent() const {
+  size_t matched = 0;  // compares in place: the check must not allocate either
+  const int64_t lookahead = CacheLookaheadBlocks();
+  for (RequestId id : service_order_) {
+    const ActiveRequest& request = RequestAt(id);
+    if (request.stats.completed || request.stats.paused || !request.playback.has_value()) {
+      continue;
+    }
+    const auto& blocks = request.playback->blocks;
+    const int64_t limit =
+        std::min<int64_t>(request.next_block + lookahead, static_cast<int64_t>(blocks.size()));
+    for (int64_t b = request.next_block; b < limit; ++b) {
+      const PrimaryEntry& entry = blocks[static_cast<size_t>(b)];
+      if (!entry.IsSilence() && (matched == lookahead_sectors_.size() ||
+                                 lookahead_sectors_[matched++] != entry.sector)) {
+        return false;
+      }
+    }
+  }
+  return matched == lookahead_sectors_.size();
 }
 
 std::vector<RequestId> ServiceScheduler::CollapsedCacheAdmissions(
@@ -1015,40 +1049,34 @@ int64_t ServiceScheduler::ExecutePlannedRound(SimTime* now) {
         }
       }
     }
-    const int64_t lookahead = CacheLookaheadBlocks();
-    for (RequestId id : service_order_) {
-      const ActiveRequest& request = RequestAt(id);
-      if (request.stats.completed || request.stats.paused || !request.playback.has_value()) {
-        continue;
-      }
-      const auto& blocks = request.playback->blocks;
-      const int64_t limit =
-          std::min<int64_t>(request.next_block + lookahead, static_cast<int64_t>(blocks.size()));
-      for (int64_t b = request.next_block; b < limit; ++b) {
-        const auto& block = blocks[static_cast<size_t>(b)];
-        if (block.IsSilence()) {
-          continue;
-        }
-        if (MissSlot* miss = FindMiss(block.sector)) {
-          ++miss->wants;
-        }
+    // The lookahead windows were gathered by the final BuildPlanInputs
+    // call above; nothing since has moved a stream or changed k.
+    assert(LookaheadGatherIsCurrent());
+    for (const int64_t sector : lookahead_sectors_) {
+      if (MissSlot* miss = FindMiss(sector)) {
+        ++miss->wants;
       }
     }
   }
 
   // Per-candidate completion instants and fates, indexed by the planner's
-  // round-global slot numbering; per-request disk time attribution (shared
-  // transfers split evenly between their riders). All flat or lookup-only
-  // scratch reused across rounds.
-  size_t total_candidates = 0;
-  for (const PlanInput& input : inputs) {
-    total_candidates += input.blocks.size();
+  // round-global slot numbering; per-input disk time attribution (shared
+  // transfers split evenly between their riders). All flat scratch reused
+  // across rounds. Slots are numbered in input order, so slot -> input is
+  // one run of each input's index per candidate.
+  input_of_slot_.clear();
+  for (size_t i = 0; i < inputs.size(); ++i) {
+    input_of_slot_.insert(input_of_slot_.end(), inputs[i].blocks.size(), static_cast<int32_t>(i));
   }
+  const size_t total_candidates = input_of_slot_.size();
   outcome_time_.assign(total_candidates, 0);
   outcome_ok_.assign(total_candidates, 0);
   outcome_known_.assign(total_candidates, 0);
-  attributed_.clear();
-  append_done_.clear();
+  attributed_.assign(inputs.size(), 0);
+  append_done_.assign(inputs.size(), 0);
+  const auto rider_request = [this](const PlannedBlock& block) -> ActiveRequest& {
+    return *input_requests_[static_cast<size_t>(input_of_slot_[static_cast<size_t>(block.slot)])];
+  };
   int64_t ops = 0;
   int64_t measured_seek = 0;
   const int64_t full_stroke = std::max<int64_t>(model.params().cylinders - 1, 0);
@@ -1069,7 +1097,7 @@ int64_t ServiceScheduler::ExecutePlannedRound(SimTime* now) {
     const bool biased = miss != nullptr && miss->wants >= 2;
     cache->Insert(extent.first, extent.second, extent.second * disk.bytes_per_sector(), biased);
     for (const PlannedBlock* block : riders) {
-      ActiveRequest& rider = RequestAt(block->request);
+      ActiveRequest& rider = rider_request(*block);
       if (rider.playback.has_value() && rider.consumer == nullptr) {
         // Prelude read-ahead: pinned so eviction cannot undo the startup
         // guarantee before playback begins. Record the extent only when the
@@ -1087,17 +1115,18 @@ int64_t ServiceScheduler::ExecutePlannedRound(SimTime* now) {
   // rider's fate (all riders lose the block on give-up).
   const auto read_extent = [&](Disk* device, const ExtentKey& extent,
                                const std::vector<const PlannedBlock*>& riders) {
-    ActiveRequest& owner = RequestAt(riders.front()->request);
+    ActiveRequest& owner = rider_request(*riders.front());
     Status fail = Status::Ok();
+    // Two-word captures keep both std::functions in their inline storage:
+    // a miss costs no heap allocation.
     const bool ok = TransferWithRetry(
         &owner, device,
-        [device, extent] { return device->Read(extent.first, extent.second, nullptr); },
-        [device, extent] { return device->PeekServiceTime(extent.first, extent.second); },
+        [device, &extent] { return device->Read(extent.first, extent.second, nullptr); },
+        [device, &extent] { return device->PeekServiceTime(extent.first, extent.second); },
         extent.first, extent.second, now, &fail);
     if (!ok) {
       for (const PlannedBlock* block : riders) {
-        ActiveRequest& rider = RequestAt(block->request);
-        ++rider.stats.blocks_skipped;
+        ++rider_request(*block).stats.blocks_skipped;
         if (options_.trace != nullptr) {
           obs::TraceEvent event = TraceContext();
           event.kind = obs::TraceEventKind::kBlockSkipped;
@@ -1124,8 +1153,7 @@ int64_t ServiceScheduler::ExecutePlannedRound(SimTime* now) {
       const ExtentKey& extent = group_keys_[g];
       const std::vector<const PlannedBlock*>& riders = group_riders_[g];
       for (const PlannedBlock* block : riders) {
-        ActiveRequest& rider = RequestAt(block->request);
-        ++rider.stats.blocks_skipped;
+        ++rider_request(*block).stats.blocks_skipped;
         if (options_.trace != nullptr) {
           obs::TraceEvent event = TraceContext();
           event.kind = obs::TraceEventKind::kBlockSkipped;
@@ -1142,27 +1170,31 @@ int64_t ServiceScheduler::ExecutePlannedRound(SimTime* now) {
     }
   };
 
+  // Riders are deduplicated by input: a request has exactly one input per
+  // round, so this is the same split as by request id.
   const auto attribute = [&](const PlannedTransfer& transfer, SimDuration spent) {
     attribute_scratch_.clear();
     for (const PlannedBlock& block : plan.riders_of(transfer)) {
-      if (std::find(attribute_scratch_.begin(), attribute_scratch_.end(), block.request) ==
+      const int32_t input = input_of_slot_[static_cast<size_t>(block.slot)];
+      if (std::find(attribute_scratch_.begin(), attribute_scratch_.end(), input) ==
           attribute_scratch_.end()) {
-        attribute_scratch_.push_back(block.request);
+        attribute_scratch_.push_back(input);
       }
     }
-    for (uint64_t rider : attribute_scratch_) {
-      attributed_[rider] += spent / static_cast<SimDuration>(attribute_scratch_.size());
+    for (const int32_t input : attribute_scratch_) {
+      attributed_[static_cast<size_t>(input)] +=
+          spent / static_cast<SimDuration>(attribute_scratch_.size());
     }
   };
 
   const auto run_append = [&](const PlannedTransfer& transfer) {
     const SimTime start = *now;
     ActiveRequest& request = RequestAt(transfer.append_request);
+    const size_t input = static_cast<size_t>(request.plan_input);
     const uint64_t span_id =
         OpenTransferSpan(obs::SpanStage::kAppend, transfer.append_request, /*member=*/-1);
-    append_done_[transfer.append_request] +=
-        ServiceRecording(&request, now, transfer.append_blocks);
-    attributed_[transfer.append_request] += *now - start;
+    append_done_[input] += ServiceRecording(&request, now, transfer.append_blocks);
+    attributed_[input] += *now - start;
     if (*now > start) {
       EmitSpan(obs::SpanStage::kAppend, span_id, span_.root, *now, *now - start,
                transfer.append_request, /*member=*/-1, /*seek=*/0, transfer.append_blocks,
@@ -1390,14 +1422,11 @@ int64_t ServiceScheduler::ExecutePlannedRound(SimTime* now) {
   // prefix reached so far.
   int64_t transferred_total = 0;
   size_t slot_cursor = 0;  // walks the planner's candidate numbering in input order
-  for (const PlanInput& input : inputs) {
+  for (size_t i = 0; i < inputs.size(); ++i) {
+    const PlanInput& input = inputs[i];
     const size_t input_slot_base = slot_cursor;
     slot_cursor += input.blocks.size();
-    ActiveRequest* found = FindRequest(input.request);
-    if (found == nullptr) {
-      continue;
-    }
-    ActiveRequest& request = *found;
+    ActiveRequest& request = *input_requests_[i];
     if (request.stats.completed || request.stats.paused) {
       continue;
     }
@@ -1408,7 +1437,7 @@ int64_t ServiceScheduler::ExecutePlannedRound(SimTime* now) {
     SimDuration block_playback = 0;
     if (request.recording.has_value()) {
       block_playback = RecordingBlockDuration(*request.recording);
-      moved = append_done_[input.request];
+      moved = append_done_[i];
     } else {
       block_playback = EffectiveBlockDuration(*request.playback);
       SimTime prefix = round_start;
@@ -1437,7 +1466,7 @@ int64_t ServiceScheduler::ExecutePlannedRound(SimTime* now) {
       event.time = *now;
       event.request = input.request;
       event.blocks = moved;
-      event.duration = attributed_[input.request];
+      event.duration = attributed_[i];
       event.round_budget = round_budget_;
       event.block_playback = block_playback;
       Emit(event);

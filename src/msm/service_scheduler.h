@@ -261,6 +261,9 @@ class ServiceScheduler {
     // Cache extents pinned for this request's anti-jitter prelude; unpinned
     // when playback starts (or the request leaves the rotation).
     std::vector<std::pair<int64_t, int64_t>> pinned_extents;
+    // Position of this request's entry in the running round's plan inputs
+    // (set by BuildPlanInputs; meaningful only for the round in progress).
+    int32_t plan_input = -1;
     // Recording state.
     std::optional<RecordingRequest> recording;
     std::unique_ptr<CaptureProducer> producer;
@@ -379,8 +382,12 @@ class ServiceScheduler {
   // `round_start`. `count_cache_stats` uses counting cache lookups; the
   // rebuild after a revocation probes silently to keep the hit rate honest.
   // Fills plan_inputs_ (inner vectors keep their capacity between rounds)
-  // and returns it.
+  // and input_requests_, gathers lookahead_sectors_ when the cache is on,
+  // and returns plan_inputs_.
   const std::vector<PlanInput>& BuildPlanInputs(SimTime round_start, bool count_cache_stats);
+  // Debug check: lookahead_sectors_ still equals a fresh walk of the
+  // rotation's lookahead windows (nothing moved since BuildPlanInputs).
+  bool LookaheadGatherIsCurrent() const;
   // Cache-admitted requests whose realized coverage (plan-time hits plus
   // shared-transfer rides) fell below the admission threshold.
   std::vector<RequestId> CollapsedCacheAdmissions(const std::vector<PlanInput>& inputs,
@@ -474,6 +481,14 @@ class ServiceScheduler {
   IncrementalRoundPlanner planner_;
   RoundPlan scratch_plan_;  // from-scratch planning (incremental_planning off)
   std::vector<PlanInput> plan_inputs_;
+  // The live request behind each plan_inputs_ entry. Slots are stable for
+  // the whole round (retirement is round-edge only), so the pointers hold.
+  std::vector<ActiveRequest*> input_requests_;
+  // Every playback input's non-silence sectors in its cache lookahead
+  // window [next_block, next_block + CacheLookaheadBlocks()), gathered by
+  // BuildPlanInputs while it has the stream's blocks in hand (cache on
+  // only): the cache-bias walk's input.
+  std::vector<int64_t> lookahead_sectors_;
   std::vector<int64_t> head_scratch_;
   // Per-candidate outcomes, indexed by PlannedBlock::slot (the planner's
   // round-global candidate numbering) — replaces a map keyed by
@@ -481,10 +496,13 @@ class ServiceScheduler {
   std::vector<SimTime> outcome_time_;
   std::vector<uint8_t> outcome_ok_;
   std::vector<uint8_t> outcome_known_;
-  // Lookup-only per-round maps (never iterated, so unordered is safe for
-  // determinism).
-  std::unordered_map<uint64_t, SimDuration> attributed_;
-  std::unordered_map<uint64_t, int64_t> append_done_;
+  // Per-input round accounting, indexed by position in plan_inputs_: disk
+  // time attributed (shared transfers split evenly between their riders)
+  // and appends completed. input_of_slot_ maps each candidate slot to the
+  // input that owns it.
+  std::vector<SimDuration> attributed_;
+  std::vector<int64_t> append_done_;
+  std::vector<int32_t> input_of_slot_;
   // This round's miss sectors (the extents its read transfers fetch), each
   // with how many active streams' lookahead blocks want it: the cache-bias
   // input of ExecutePlannedRound. An open-addressing table rebuilt each
@@ -499,7 +517,7 @@ class ServiceScheduler {
   std::vector<std::pair<int64_t, int64_t>> group_keys_;
   std::vector<std::vector<const PlannedBlock*>> group_riders_;
   size_t group_count_ = 0;
-  std::vector<uint64_t> attribute_scratch_;
+  std::vector<int32_t> attribute_scratch_;  // distinct rider inputs of one transfer
   // Array-wave dispatch scratch.
   std::vector<std::deque<const PlannedTransfer*>> queue_scratch_;
   std::vector<const PlannedTransfer*> append_scratch_;

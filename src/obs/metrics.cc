@@ -24,14 +24,17 @@ void Histogram::Record(double value) {
   }
   ++count_;
   sum_ += value;
+  // Everything from 2^(kBuckets-1) up lands in the overflow bucket; testing
+  // it first also keeps the float-to-integer cast below in range.
+  constexpr double kOverflowEdge = static_cast<double>(uint64_t{1} << (kBuckets - 1));
   int bucket = 0;
-  if (value >= std::ldexp(1.0, kBuckets - 1)) {
-    // Straight to the overflow bucket: for values >= 2^64 the
-    // ceil-then-cast below is undefined behaviour, and everything past
-    // 2^(kBuckets-1) lands there anyway.
+  if (value >= kOverflowEdge) {
     bucket = kBuckets - 1;
   } else if (value > 1.0) {
-    const uint64_t magnitude = static_cast<uint64_t>(std::ceil(value)) - 1;
+    // ceil(value) in integers: below 2^39 the truncation is exact, and it
+    // falls short of value exactly when value has a fractional part.
+    const uint64_t whole = static_cast<uint64_t>(value);
+    const uint64_t magnitude = whole - (static_cast<double>(whole) < value ? 0 : 1);
     bucket = std::min(kBuckets - 1, 64 - std::countl_zero(magnitude));
   }
   ++buckets_[static_cast<size_t>(bucket)];

@@ -757,8 +757,7 @@ Result<LoadedImage> BuildImage(Disk* disk, const RootRecord& root,
 // --- SaveImage ---------------------------------------------------------------
 
 Result<ImageReceipt> SaveImage(StrandStore* store, const RopeServer* ropes,
-                               const TextFileService* texts, const ImageReceipt* previous,
-                               WorkerPool* /*pool*/) {
+                               const TextFileService* texts, const ImageReceipt* previous) {
   Disk& disk = store->disk();
   const int64_t sector_bytes = disk.bytes_per_sector();
   const int64_t roots_start = disk.total_sectors() - 2;
@@ -872,7 +871,7 @@ Result<ImageReceipt> SaveImage(StrandStore* store, const RopeServer* ropes,
 
 // --- LoadImage ---------------------------------------------------------------
 
-Result<LoadedImage> LoadImage(Disk* disk, WorkerPool* /*pool*/) {
+Result<LoadedImage> LoadImage(Disk* disk) {
   RootChoice choice = ChooseRoot(disk);
   if (!choice.any_magic) {
     return Status(ErrorCode::kNotFound, "no vaFS image on this disk");

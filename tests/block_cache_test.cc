@@ -82,6 +82,38 @@ TEST(BlockCacheTest, EvictsLeastRecentlyUsedFirst) {
   EXPECT_EQ(cache.stats().evictions, 1);
 }
 
+TEST(BlockCacheTest, HitsAndRecycledNodesKeepLruOrder) {
+  // Room for three 4 KB entries. Hits move an entry to the recent end in
+  // place; an insert after an eviction or invalidation reuses the freed
+  // nodes. Neither may change which entry goes next.
+  BlockCache cache(BlockCacheOptions{.capacity_bytes = 3 * 4096});
+  cache.Insert(0, 8, 4096, false);
+  cache.Insert(100, 8, 4096, false);
+  cache.Insert(200, 8, 4096, false);
+  EXPECT_TRUE(cache.Lookup(0, 8));     // LRU order: 100, 200, 0
+  cache.Insert(300, 8, 4096, false);   // evicts 100: 200, 0, 300
+  EXPECT_FALSE(cache.Contains(100, 8));
+  EXPECT_TRUE(cache.Lookup(200, 8));   // 0, 300, 200
+  cache.Insert(400, 16, 4096, false);  // evicts 0: 300, 200, 400
+  EXPECT_FALSE(cache.Contains(0, 8));
+  cache.Insert(300, 8, 4096, false);   // re-read refreshes: 200, 400, 300
+  EXPECT_EQ(cache.InvalidateRange(400, 1), 1);  // 200, 300
+  cache.Insert(500, 8, 4096, false);   // 200, 300, 500
+  cache.Insert(600, 8, 4096, false);   // evicts 200: 300, 500, 600
+  EXPECT_FALSE(cache.Contains(200, 8));
+  EXPECT_FALSE(cache.Contains(400, 16));
+  EXPECT_TRUE(cache.Contains(300, 8));
+  EXPECT_TRUE(cache.Contains(500, 8));
+  EXPECT_TRUE(cache.Lookup(600, 8));   // recycled nodes answer exact extents
+  EXPECT_FALSE(cache.Lookup(600, 16));
+  cache.Insert(700, 8, 4096, false);   // evicts 300: 500, 600, 700
+  EXPECT_FALSE(cache.Contains(300, 8));
+  EXPECT_EQ(cache.stats().resident_entries, 3);
+  EXPECT_EQ(cache.stats().resident_bytes, 3 * 4096);
+  EXPECT_EQ(cache.stats().evictions, 4);
+  EXPECT_EQ(cache.stats().insertions, 8);  // the re-read of 300 is no insertion
+}
+
 TEST(BlockCacheTest, IntervalBiasedEntriesEvictLast) {
   BlockCache cache(BlockCacheOptions{.capacity_bytes = 8192});
   cache.Insert(0, 8, 4096, /*interval_biased=*/true);  // LRU, but biased

@@ -2,10 +2,12 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cmath>
 #include <cstdlib>
 #include <limits>
 #include <new>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -73,6 +75,62 @@ TEST(MetricsTest, HistogramBuckets) {
   // Overflow absorbs into the last bucket.
   histogram.Record(1e30);
   EXPECT_EQ(histogram.buckets()[Histogram::kBuckets - 1], 1);
+}
+
+// The bucket Histogram::Record used to compute with libm: ceil, then the
+// bit length of ceil - 1, overflow from 2^(kBuckets-1) up.
+int LibmBucket(double value) {
+  if (value >= std::ldexp(1.0, Histogram::kBuckets - 1)) {
+    return Histogram::kBuckets - 1;
+  }
+  if (value > 1.0) {
+    const uint64_t magnitude = static_cast<uint64_t>(std::ceil(value)) - 1;
+    return std::min(Histogram::kBuckets - 1, 64 - std::countl_zero(magnitude));
+  }
+  return 0;
+}
+
+int RecordedBucket(double value) {
+  Histogram histogram;
+  histogram.Record(value);
+  for (int b = 0; b < Histogram::kBuckets; ++b) {
+    if (histogram.buckets()[static_cast<size_t>(b)] == 1) {
+      return b;
+    }
+  }
+  return -1;
+}
+
+TEST(MetricsTest, HistogramBucketMatchesLibmFormula) {
+  std::vector<double> values = {0.0, 1.0, -3.5, 1e30, std::numeric_limits<double>::max()};
+  for (int k = 0; k <= 40; ++k) {
+    const double edge = std::ldexp(1.0, k);
+    for (const double v : {edge, std::nextafter(edge, 0.0), std::nextafter(edge, 1e300),
+                           edge - 1.0, edge + 1.0}) {
+      values.push_back(v);
+    }
+  }
+  for (double v = 1.0; v < 2.0; v = std::nextafter(v + 1.0 / 1024.0, 2.0)) {
+    values.push_back(v);
+  }
+  values.push_back(std::nextafter(1.0, 2.0));
+  values.push_back(std::nextafter(2.0, 1.0));
+  std::mt19937_64 rng(20261019);
+  std::uniform_real_distribution<double> mantissa(1.0, 2.0);
+  std::uniform_int_distribution<int> exponent(-8, 44);
+  for (int i = 0; i < 1'000'000; ++i) {
+    if (i % 8 == 0) {
+      // A whole number: the exact-integer branch of the ceil.
+      const int shift = static_cast<int>(rng() % 64);
+      values.push_back(static_cast<double>(rng() >> shift));
+    } else {
+      const double m = mantissa(rng);
+      values.push_back(std::ldexp(m, exponent(rng)));
+    }
+  }
+  for (const double v : values) {
+    ASSERT_EQ(RecordedBucket(v), LibmBucket(v)) << "value " << v;
+  }
 }
 
 TEST(MetricsTest, JsonImageIsDeterministic) {

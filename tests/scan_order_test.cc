@@ -140,6 +140,69 @@ TEST_F(RoundPlannerTest, CacheHitsPlanNoTransfer) {
   EXPECT_EQ(plan.data_blocks, 2);
 }
 
+void ExpectSamePlan(const RoundPlan& expected, const RoundPlan& actual) {
+  EXPECT_EQ(actual.data_blocks, expected.data_blocks);
+  EXPECT_EQ(actual.cache_hits, expected.cache_hits);
+  EXPECT_EQ(actual.read_transfers, expected.read_transfers);
+  EXPECT_EQ(actual.coalesced_blocks, expected.coalesced_blocks);
+  EXPECT_EQ(actual.deduped_blocks, expected.deduped_blocks);
+  ASSERT_EQ(actual.transfers.size(), expected.transfers.size());
+  for (size_t t = 0; t < expected.transfers.size(); ++t) {
+    const PlannedTransfer& e = expected.transfers[t];
+    const PlannedTransfer& a = actual.transfers[t];
+    EXPECT_EQ(a.is_append, e.is_append) << "transfer " << t;
+    EXPECT_EQ(a.start_sector, e.start_sector) << "transfer " << t;
+    EXPECT_EQ(a.sectors, e.sectors) << "transfer " << t;
+    EXPECT_EQ(a.member, e.member) << "transfer " << t;
+    EXPECT_EQ(a.append_request, e.append_request) << "transfer " << t;
+    ASSERT_EQ(a.rider_count, e.rider_count) << "transfer " << t;
+    for (size_t r = 0; r < e.rider_count; ++r) {
+      const PlannedBlock& eb = expected.riders_of(e)[r];
+      const PlannedBlock& ab = actual.riders_of(a)[r];
+      EXPECT_EQ(ab.request, eb.request);
+      EXPECT_EQ(ab.ordinal, eb.ordinal);
+      EXPECT_EQ(ab.sector, eb.sector);
+      EXPECT_EQ(ab.sectors, eb.sectors);
+      EXPECT_EQ(ab.slot, eb.slot);
+    }
+  }
+}
+
+TEST_F(RoundPlannerTest, IncrementalPlannerMatchesFromScratchAcrossRounds) {
+  // Request 1 coalesces [100, 108) out of two blocks while request 2 wants
+  // only [100, 104): one start sector, two extents, two transfers. Forty
+  // more requests want three scattered blocks each, more groups than the
+  // incremental planner's extent index starts with, and half of them
+  // advance every round so clean and re-sorted groups mix.
+  for (const int members : {1, 2}) {
+    IncrementalRoundPlanner planner;
+    for (int round = 0; round < 4; ++round) {
+      std::vector<PlanInput> inputs(2);
+      inputs[0].request = 1;
+      inputs[0].blocks = {AtSector(0, 100, 4), AtSector(1, 104, 4)};
+      inputs[1].request = 2;
+      inputs[1].blocks = {AtSector(0, 100, 4)};
+      for (int r = 0; r < 40; ++r) {
+        PlanInput input;
+        input.request = static_cast<uint64_t>(10 + r);
+        const int64_t step = r % 2 == 0 ? round : 0;
+        for (int64_t b = 0; b < 3; ++b) {
+          input.blocks.push_back(AtCylinder(step + 2 * b, (r * 37 + step * 3 + b * 61) % 190 + 5));
+        }
+        inputs.push_back(input);
+      }
+      // A lockstep viewer of request 1, entered after the index has grown,
+      // must still ride request 1's transfer.
+      PlanInput lockstep = inputs[0];
+      lockstep.request = 99;
+      inputs.push_back(lockstep);
+      const std::vector<int64_t> heads(static_cast<size_t>(members), 60);
+      const RoundPlan expected = BuildRoundPlan(model_, heads, members, inputs);
+      ExpectSamePlan(expected, planner.Plan(model_, heads, members, inputs));
+    }
+  }
+}
+
 TEST_F(RoundPlannerTest, ArrayMembersGetIndependentCScanQueues) {
   // Two members: block ordinals alternate members; each member's queue
   // must be elevator-ordered on its own.

@@ -263,14 +263,15 @@ TEST(WallclockPersistenceTest, CheckpointRoundTripsThroughPool) {
   VideoSource source(TestVideo(), 9);
   ASSERT_TRUE(RecordVideo(&store, &source, *placement, 2.0).ok());
 
-  // Save under a 4-worker pool (chunk-parallel catalog CRC), reload under
-  // the same pool; the serial path is already covered by persistence_test.
+  // Save and reload while a 4-worker pool is live in the process: the
+  // checkpoint path never touches the pool (its catalog CRC is serial,
+  // DESIGN.md section 12), so an idle pool must not disturb it.
   WorkerPool pool(4);
   RopeServer ropes(&store);
-  Result<ImageReceipt> receipt = SaveImage(&store, &ropes, nullptr, nullptr, &pool);
+  Result<ImageReceipt> receipt = SaveImage(&store, &ropes, nullptr, nullptr);
   ASSERT_TRUE(receipt.ok());
   EXPECT_TRUE(receipt->valid);
-  Result<LoadedImage> image = LoadImage(&disk, &pool);
+  Result<LoadedImage> image = LoadImage(&disk);
   ASSERT_TRUE(image.ok());
   EXPECT_EQ(image->strands_recovered, 1);
 }
