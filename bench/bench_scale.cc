@@ -8,20 +8,18 @@
 //   sweep   One node, planned rounds + block cache + session layer, a
 //           fixed Zipf viewer population per size (a flash-crowd slice
 //           arrives through OpenSession and batches/merges; the rest are
-//           solo physical streams). Reports wall-clock rounds/sec, the
+//           solo physical streams). Reports wall-clock rounds/sec and the
 //           per-stream round cost (the near-linear-scaling criterion:
-//           20k within 5x of 1k), and the incremental planner's reuse
-//           counters. The 5k point runs twice — incremental vs
-//           from-scratch planning — and every simulated-time digest must
-//           match between the two.
+//           20k within 5x of 1k).
 //
 //   waves   The wallclock-style array engine at 5k streams with payload
 //           verification ON, run at 1 and 8 workers: digests must be
 //           byte-identical, and the PagePool counters show the pooled
-//           read path recycling pages instead of allocating per block.
+//           read path recycling pages instead of allocating per block
+//           (a payload pass holds up to ServiceScheduler::kPayloadPassPages).
 //
-// tools/check_scale.py gates digest equality (hard) and near-linear
-// scaling (advisory). CI publishes BENCH_scale_metrics.json.
+// tools/check_scale.py gates digest equality across worker counts (hard)
+// and near-linear scaling (advisory). CI publishes BENCH_scale_metrics.json.
 
 #include <benchmark/benchmark.h>
 
@@ -89,7 +87,6 @@ uint64_t FnvOf(const std::string& text) {
 struct ScaleOutcome {
   const char* part = "sweep";
   int64_t viewers = 0;
-  const char* mode = "incremental";
   int workers = 1;
   int64_t admitted = 0;
   int64_t sessions_batched = 0;
@@ -104,7 +101,6 @@ struct ScaleOutcome {
   uint64_t audit_digest = 0;
   uint64_t payload_digest = 0;
   SimTime completion = 0;
-  IncrementalRoundPlanner::Stats planner;
   int64_t pool_created = 0;
   int64_t pool_recycled = 0;
   int64_t pool_outstanding = 0;
@@ -129,7 +125,7 @@ sim::WorkloadOptions SweepWorkload() {
 // planned rounds + cache + sessions, admission bypassed (the point is the
 // hot path, not Eq. 17 — the simulated disk is massively oversubscribed
 // and the SLO records that honestly).
-ScaleOutcome RunSweep(int64_t viewers, bool incremental) {
+ScaleOutcome RunSweep(int64_t viewers) {
   TraceDigest trace;
   obs::ContinuityAuditor auditor{obs::AuditorOptions{.round_time_slack = 0.05}};
   obs::SloTracker slo;
@@ -145,7 +141,6 @@ ScaleOutcome RunSweep(int64_t viewers, bool incremental) {
   config.scheduler.bypass_admission = true;
   config.scheduler.forced_k = 1;
   config.scheduler.batch_activation = true;
-  config.scheduler.incremental_planning = incremental;
   config.scheduler.trace = &receipts;
   config.block_cache.capacity_bytes = 8 << 20;
   config.sessions.enabled = true;
@@ -173,7 +168,6 @@ ScaleOutcome RunSweep(int64_t viewers, bool incremental) {
 
   ScaleOutcome outcome;
   outcome.viewers = viewers;
-  outcome.mode = incremental ? "incremental" : "from_scratch";
   const SimTime base = fs.simulator().Now();
   for (const sim::WorkloadArrival& arrival : arrivals) {
     const RopeId rope = ropes[static_cast<size_t>(arrival.title) % ropes.size()];
@@ -215,7 +209,6 @@ ScaleOutcome RunSweep(int64_t viewers, bool incremental) {
   outcome.slo_digest = FnvOf(slo.Report().ToJson());
   outcome.audit_digest = FnvOf(auditor.Report());
   outcome.completion = fs.simulator().Now();
-  outcome.planner = fs.scheduler().planner_stats();
   if (fs.block_cache() != nullptr) {
     PagePool& pool = fs.block_cache()->page_pool();
     outcome.pool_created = pool.pages_created();
@@ -327,7 +320,6 @@ ScaleOutcome RunWaves(int64_t viewers, int workers) {
   outcome.slo_digest = FnvOf(slo.Report().ToJson());
   outcome.payload_digest = scheduler.payload_digest();
   outcome.completion = sim.Now();
-  outcome.planner = scheduler.planner_stats();
   outcome.pool_created = cache.page_pool().pages_created();
   outcome.pool_recycled = cache.page_pool().pages_recycled();
   outcome.pool_outstanding = cache.page_pool().pages_outstanding();
@@ -352,26 +344,20 @@ void WriteScaleJson(const std::vector<ScaleOutcome>& outcomes) {
     const ScaleOutcome& run = outcomes[i];
     std::fprintf(
         file,
-        "      {\"part\": \"%s\", \"viewers\": %lld, \"mode\": \"%s\", \"workers\": %d,\n"
+        "      {\"part\": \"%s\", \"viewers\": %lld, \"workers\": %d,\n"
         "       \"admitted\": %lld, \"sessions_batched\": %lld, \"sessions_merged\": %lld,\n"
         "       \"wall_sec\": %.6f, \"rounds\": %lld, \"rounds_per_sec\": %.3f,\n"
         "       \"stream_round_cost_wall_sec\": %.6f,\n"
         "       \"trace_digest\": \"%016" PRIx64 "\", \"trace_events\": %lld,\n"
         "       \"slo_digest\": \"%016" PRIx64 "\", \"audit_digest\": \"%016" PRIx64 "\",\n"
         "       \"payload_digest\": \"%016" PRIx64 "\", \"completion_usec\": %lld,\n"
-        "       \"planner_inputs_seen\": %lld, \"planner_inputs_reused\": %lld,\n"
-        "       \"planner_groups_resorted\": %lld, \"planner_full_sort_fallbacks\": %lld,\n"
         "       \"pool_created\": %lld, \"pool_recycled\": %lld, \"pool_outstanding\": %lld}%s\n",
-        run.part, static_cast<long long>(run.viewers), run.mode, run.workers,
+        run.part, static_cast<long long>(run.viewers), run.workers,
         static_cast<long long>(run.admitted), static_cast<long long>(run.sessions_batched),
         static_cast<long long>(run.sessions_merged), run.wall_sec,
         static_cast<long long>(run.rounds), run.rounds_per_sec, run.stream_round_cost_wall_sec,
         run.trace_digest, static_cast<long long>(run.trace_events), run.slo_digest,
         run.audit_digest, run.payload_digest, static_cast<long long>(run.completion),
-        static_cast<long long>(run.planner.inputs_seen),
-        static_cast<long long>(run.planner.inputs_reused),
-        static_cast<long long>(run.planner.groups_resorted),
-        static_cast<long long>(run.planner.full_sort_fallbacks),
         static_cast<long long>(run.pool_created), static_cast<long long>(run.pool_recycled),
         static_cast<long long>(run.pool_outstanding), i + 1 < outcomes.size() ? "," : "");
   }
@@ -389,8 +375,8 @@ void PrintScaleTables() {
   std::printf("host threads: %u, titles: %d, title length: %.1fs\n",
               std::thread::hardware_concurrency(), kTitles, kTitleSec);
 
-  // VAFS_SCALE_MAX trims the sweep for constrained runners (digest
-  // comparisons all happen at the 5k point, which is never trimmed).
+  // VAFS_SCALE_MAX trims the sweep for constrained runners (never below
+  // the 5k point, the size the waves runs compare digests at).
   int64_t max_viewers = 50000;
   if (const char* env_max = std::getenv("VAFS_SCALE_MAX"); env_max != nullptr) {
     max_viewers = std::max<int64_t>(std::atoll(env_max), kDeterminismSize);
@@ -400,43 +386,24 @@ void PrintScaleTables() {
     if (viewers > max_viewers) {
       continue;
     }
-    std::fprintf(stderr, "sweep %lld incremental...\n", static_cast<long long>(viewers));
-    outcomes.push_back(RunSweep(viewers, /*incremental=*/true));
-    if (viewers == kDeterminismSize) {
-      std::fprintf(stderr, "sweep %lld from-scratch...\n", static_cast<long long>(viewers));
-      outcomes.push_back(RunSweep(viewers, /*incremental=*/false));
-    }
+    std::fprintf(stderr, "sweep %lld...\n", static_cast<long long>(viewers));
+    outcomes.push_back(RunSweep(viewers));
   }
   std::fprintf(stderr, "waves %lld x1...\n", static_cast<long long>(kDeterminismSize));
   outcomes.push_back(RunWaves(kDeterminismSize, /*workers=*/1));
   std::fprintf(stderr, "waves %lld x8...\n", static_cast<long long>(kDeterminismSize));
   outcomes.push_back(RunWaves(kDeterminismSize, /*workers=*/8));
 
-  std::printf("%6s | %7s | %12s | %3s | %9s | %7s | %11s | %11s | %16s\n", "part", "viewers",
-              "mode", "wk", "wall (s)", "rounds", "rounds/sec", "us/strm-rnd", "trace digest");
+  std::printf("%6s | %7s | %3s | %9s | %7s | %11s | %11s | %16s\n", "part", "viewers", "wk",
+              "wall (s)", "rounds", "rounds/sec", "us/strm-rnd", "trace digest");
   for (const ScaleOutcome& run : outcomes) {
-    std::printf("%6s | %7" PRId64 " | %12s | %3d | %9.3f | %7" PRId64
-                " | %11.1f | %11.3f | %016" PRIx64 "\n",
-                run.part, run.viewers, run.mode, run.workers, run.wall_sec, run.rounds,
-                run.rounds_per_sec, run.stream_round_cost_wall_sec, run.trace_digest);
+    std::printf("%6s | %7" PRId64 " | %3d | %9.3f | %7" PRId64 " | %11.1f | %11.3f | %016" PRIx64
+                "\n",
+                run.part, run.viewers, run.workers, run.wall_sec, run.rounds, run.rounds_per_sec,
+                run.stream_round_cost_wall_sec, run.trace_digest);
   }
 
   // Receipts the checker gates on (printed for the human too).
-  const ScaleOutcome* inc = nullptr;
-  const ScaleOutcome* scratch = nullptr;
-  for (const ScaleOutcome& run : outcomes) {
-    if (run.viewers == kDeterminismSize && std::string(run.part) == "sweep") {
-      (std::string(run.mode) == "incremental" ? inc : scratch) = &run;
-    }
-  }
-  if (inc != nullptr && scratch != nullptr) {
-    const bool same = inc->trace_digest == scratch->trace_digest &&
-                      inc->slo_digest == scratch->slo_digest &&
-                      inc->audit_digest == scratch->audit_digest &&
-                      inc->completion == scratch->completion && inc->rounds == scratch->rounds;
-    std::printf("incremental == from-scratch planning: %s\n",
-                same ? "yes" : "NO -- DETERMINISM BROKEN");
-  }
   const ScaleOutcome& w1 = outcomes[outcomes.size() - 2];
   const ScaleOutcome& w8 = outcomes[outcomes.size() - 1];
   const bool workers_same =
@@ -455,7 +422,7 @@ void PrintScaleTables() {
 void BM_ScaleSweep(benchmark::State& state) {
   const int64_t viewers = state.range(0);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(RunSweep(viewers, /*incremental=*/true).rounds);
+    benchmark::DoNotOptimize(RunSweep(viewers).rounds);
   }
 }
 BENCHMARK(BM_ScaleSweep)->Arg(1000)->Unit(benchmark::kMillisecond);

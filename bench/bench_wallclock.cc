@@ -2,8 +2,8 @@
 // 8-member array, with determinism receipts.
 //
 // The same planned-round workload (8 streams, one strand each, spread
-// across the array's address space, payload checksumming ON so every
-// member task carries real CPU) runs kRepetitions times per worker count;
+// across the array's address space, payload checksumming ON so the
+// pooled CRC passes carry real CPU) runs kRepetitions times per worker count;
 // one run lasts only tens of milliseconds, so the fastest repetition is
 // reported, and every repetition must reproduce the first one's digests.
 // For each worker count the bench reports wall-clock rounds/sec plus four

@@ -5,7 +5,6 @@
 #include <string>
 
 #include "src/obs/trace.h"
-#include "src/util/checksum.h"
 #include "src/util/worker_pool.h"
 
 namespace vafs {
@@ -101,8 +100,7 @@ Result<DiskArray::BatchOutcome> DiskArray::ReadBatch(const std::vector<BatchRequ
   }
   BatchOutcome outcome;
   outcome.per_request.resize(batch.size());
-  const bool checksum = checksum_payloads_;
-  auto serve = [this, &batch, out, &outcome, checksum](size_t i) {
+  auto serve = [this, &batch, out, &outcome](size_t i) {
     const BatchRequest& request = batch[i];
     Disk& disk = *disks_[static_cast<size_t>(request.member)];
     std::vector<uint8_t>* slot = out != nullptr ? &(*out)[i] : nullptr;
@@ -110,9 +108,6 @@ Result<DiskArray::BatchOutcome> DiskArray::ReadBatch(const std::vector<BatchRequ
     MemberOutcome& fate = outcome.per_request[i];
     if (service.ok()) {
       fate.service = *service;
-      if (checksum && slot != nullptr && !slot->empty()) {
-        fate.payload_crc = Crc64(*slot);
-      }
     } else {
       fate.status = service.status();
       fate.service = disk.last_fault_service();
@@ -132,8 +127,7 @@ Result<DiskArray::BatchOutcome> DiskArray::ReadBatchInto(
   }
   BatchOutcome outcome;
   outcome.per_request.resize(batch.size());
-  const bool checksum = checksum_payloads_;
-  auto serve = [this, &batch, &pages, &outcome, checksum](size_t i) {
+  auto serve = [this, &batch, &pages, &outcome](size_t i) {
     const BatchRequest& request = batch[i];
     Disk& disk = *disks_[static_cast<size_t>(request.member)];
     std::vector<uint8_t>* slot = pages.empty() ? nullptr : pages[i];
@@ -141,9 +135,6 @@ Result<DiskArray::BatchOutcome> DiskArray::ReadBatchInto(
     MemberOutcome& fate = outcome.per_request[i];
     if (service.ok()) {
       fate.service = *service;
-      if (checksum && slot != nullptr && !slot->empty()) {
-        fate.payload_crc = Crc64(*slot);
-      }
     } else {
       fate.status = service.status();
       fate.service = disk.last_fault_service();
@@ -163,8 +154,7 @@ Result<DiskArray::BatchOutcome> DiskArray::WriteBatch(const std::vector<BatchReq
   }
   BatchOutcome outcome;
   outcome.per_request.resize(batch.size());
-  const bool checksum = checksum_payloads_;
-  auto serve = [this, &batch, &data, &outcome, checksum](size_t i) {
+  auto serve = [this, &batch, &data, &outcome](size_t i) {
     const BatchRequest& request = batch[i];
     Disk& disk = *disks_[static_cast<size_t>(request.member)];
     std::span<const uint8_t> payload =
@@ -173,9 +163,6 @@ Result<DiskArray::BatchOutcome> DiskArray::WriteBatch(const std::vector<BatchReq
     MemberOutcome& fate = outcome.per_request[i];
     if (service.ok()) {
       fate.service = *service;
-      if (checksum && !payload.empty()) {
-        fate.payload_crc = Crc64(payload);
-      }
     } else {
       fate.status = service.status();
       fate.service = disk.last_fault_service();

@@ -68,10 +68,6 @@ class DiskArray {
   struct MemberOutcome {
     Status status = Status::Ok();
     SimDuration service = 0;
-    // CRC-64 of the payload moved by this request, computed inside the
-    // member's task when set_checksum_payloads(true); 0 otherwise (or when
-    // the request faulted / carried no data).
-    uint64_t payload_crc = 0;
   };
 
   struct BatchOutcome {
@@ -138,15 +134,6 @@ class DiskArray {
   void set_worker_pool(WorkerPool* pool) { pool_ = pool; }
   WorkerPool* worker_pool() const { return pool_; }
 
-  // When true, each request's task also computes the CRC-64 of the bytes
-  // it moved into MemberOutcome::payload_crc. This is real per-task CPU
-  // work (the simulated mechanics cost nanoseconds of host time), so it is
-  // both an end-to-end integrity check and the load that makes wall-clock
-  // parallelism measurable. Requires retain_data on the members to see
-  // non-empty payloads.
-  void set_checksum_payloads(bool on) { checksum_payloads_ = on; }
-  bool checksum_payloads() const { return checksum_payloads_; }
-
  private:
   // Rejecting two requests on one member is not a modeling nicety: it is
   // the data-ownership rule of the parallel engine. One request per member
@@ -166,7 +153,6 @@ class DiskArray {
 
   std::vector<std::unique_ptr<Disk>> disks_;
   WorkerPool* pool_ = nullptr;
-  bool checksum_payloads_ = false;
 };
 
 }  // namespace vafs

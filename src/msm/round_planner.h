@@ -34,17 +34,14 @@
 //
 // Scale note (DESIGN.md section 15): riders live in one flat arena
 // (RoundPlan::riders) addressed by [rider_begin, rider_begin+rider_count)
-// per transfer, so a 20k-stream round allocates nothing per transfer once
-// the arena has warmed up. IncrementalRoundPlanner caches each request's
-// coalesced runs between rounds and re-sorts only streams whose extents
-// changed; its output order is byte-identical to BuildRoundPlan.
+// per transfer, and RoundPlanner keeps all of its working storage between
+// rounds, so a 20k-stream round allocates nothing once the planner is warm.
 
 #ifndef VAFS_SRC_MSM_ROUND_PLANNER_H_
 #define VAFS_SRC_MSM_ROUND_PLANNER_H_
 
 #include <cstdint>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "src/disk/disk_model.h"
@@ -103,7 +100,7 @@ struct RoundPlan {
   // queue position (the scheduler groups one wave per position).
   std::vector<PlannedTransfer> transfers;
   // Rider arena: every transfer's blocks, contiguous per transfer. Reused
-  // across rounds by the planners (clear keeps capacity).
+  // across rounds by RoundPlanner (clear keeps capacity).
   std::vector<PlannedBlock> riders;
   int64_t data_blocks = 0;      // playback blocks wanted this round
   int64_t cache_hits = 0;       // served from memory, no transfer
@@ -116,134 +113,79 @@ struct RoundPlan {
   }
 };
 
-// Builds the round's transfer program from scratch. `head_cylinders[m]` is
-// member m's current arm cylinder (one entry for a single disk);
-// `array_members` <= 1 plans for a single spindle.
-RoundPlan BuildRoundPlan(const DiskModel& model, const std::vector<int64_t>& head_cylinders,
-                         int array_members, const std::vector<PlanInput>& inputs);
-
-// Same program, written into `out` so a caller-owned plan's vectors are
-// reused across rounds.
-void BuildRoundPlanInto(const DiskModel& model, const std::vector<int64_t>& head_cylinders,
-                        int array_members, const std::vector<PlanInput>& inputs, RoundPlan* out);
-
-// Incremental planner for the scale hot path. Caches each request's
-// coalesced run list between rounds (a request whose candidate geometry is
-// unchanged skips coalescing entirely) and keeps the previous round's
-// C-SCAN order so only new or changed transfers are sorted; survivors
-// merge in O(transfers). The dispatch order is byte-identical to
-// BuildRoundPlan on the same inputs: the sort key (member, start_sector,
-// encounter order) is head-position-independent — cylinders are monotonic
-// in sector — and the C-SCAN wrap becomes a per-member rotation at the
-// first cylinder >= the arm, which is exactly the ScanKey order.
-class IncrementalRoundPlanner {
+// Plans rounds from scratch in working storage reused across rounds. Per
+// round: each input's candidates coalesce into runs; an open-addressing
+// extent -> group index dedups runs across inputs (a shared extent's runs
+// chain into its group in encounter order); one sort of the groups by
+// (member, C-SCAN pass, cylinder, start sector, encounter order) fixes the
+// dispatch order; riders are copied into RoundPlan::riders at emission.
+// `head_cylinders[m]` is member m's current arm cylinder (one entry for a
+// single disk); `array_members` <= 1 plans for a single spindle.
+class RoundPlanner {
  public:
-  struct Stats {
-    int64_t rounds = 0;
-    int64_t inputs_seen = 0;
-    int64_t inputs_reused = 0;   // coalescing skipped (geometry unchanged)
-    int64_t groups_seen = 0;
-    int64_t groups_resorted = 0; // transfers that needed a fresh sort
-    int64_t full_sort_fallbacks = 0;
-  };
-
-  // Plans the round. The returned plan is owned by the planner and valid
-  // until the next Plan()/Clear() call.
+  // The returned plan is owned by the planner and valid until the next
+  // Plan() call.
   const RoundPlan& Plan(const DiskModel& model, const std::vector<int64_t>& head_cylinders,
                         int array_members, const std::vector<PlanInput>& inputs);
 
-  // Drops one request's cached runs (call when the request retires).
-  void Forget(uint64_t request);
-  void Clear();
-
-  const Stats& stats() const { return stats_; }
-
  private:
-  struct CachedRun {
-    int64_t start_sector = 0;
-    int64_t sectors = 0;
-    int member = 0;
-    uint32_t rider_begin = 0;  // into CachedInput::riders
+  // One coalesced run of one input: riders_[rider_begin, +rider_count).
+  struct Run {
+    uint32_t rider_begin = 0;
     uint32_t rider_count = 0;
+    int32_t next = -1;  // next run of the same group
   };
-  // Per-request cache: the exact candidate list it was built from (compared
-  // field-by-field, no hashing), the coalesced runs, and the riders with
-  // PlannedBlock::slot holding the candidate index *within* the input —
-  // rebased to the round-global slot at emission time.
-  struct CachedInput {
-    std::vector<PlanCandidate> signature;
-    int members = 0;
-    std::vector<CachedRun> runs;
-    std::vector<PlannedBlock> riders;
-    int64_t data_blocks = 0;
-    int64_t cache_hits = 0;
-    int64_t coalesced_blocks = 0;
-  };
-  struct GroupRef {
-    const CachedInput* input = nullptr;
-    int32_t run = -1;
-    int64_t slot_base = 0;
-    int32_t next = -1;  // chain of refs sharing the group
-  };
+  // One planned transfer: a distinct read extent or one input's appends.
   struct Group {
     int64_t start_sector = 0;
     int64_t sectors = 0;
     int member = 0;
-    int64_t cylinder = 0;
-    int32_t seq = 0;  // encounter order this round (sort tie-break)
     bool is_append = false;
     uint64_t append_request = 0;
     int64_t append_blocks = 0;
-    int32_t first_ref = -1;
-    int32_t last_ref = -1;
-    int64_t rider_total = 0;
+    int32_t first_run = -1;
+    int32_t last_run = -1;
   };
-  struct ExtentKey {
+  // Dispatch sort key of group `group` (its index is the encounter order).
+  struct OrderKey {
+    int64_t member_pass = 0;  // 2 * member + C-SCAN pass (0 ahead of the arm, 1 after the wrap)
+    int64_t cylinder = 0;
+    int64_t start_sector = 0;
+    int32_t group = 0;
+  };
+  // One slot of the extent -> group index (group < 0: empty).
+  struct GroupSlot {
     int64_t start = 0;
     int64_t sectors = 0;
-    bool operator==(const ExtentKey& other) const {
-      return start == other.start && sectors == other.sectors;
-    }
-  };
-  // One slot of the round's extent -> group index (group < 0: empty).
-  struct GroupSlot {
-    ExtentKey key;
     int32_t group = -1;
   };
-  struct OrderedIdentity {
-    int member = 0;
-    int64_t start_sector = 0;
-    int64_t sectors = 0;
-  };
 
-  void RebuildInput(const PlanInput& input, int members, CachedInput* cached);
+  // Files the run riders_[rider_begin, end) over [start, start + sectors)
+  // on `member` under its extent's group, opening the group if new.
+  void CloseRun(int64_t start, int64_t sectors, int member, uint32_t rider_begin);
   // Empties the group index with room for at least `slots` slots.
   void ResetGroupIndex(size_t slots);
   // Doubles the group index and re-enters every read group of groups_.
   void GrowGroupIndex();
-  // The slot holding `key`, or the empty slot where it belongs.
-  GroupSlot& GroupSlotFor(const ExtentKey& key);
+  // The slot holding the extent, or the empty slot where it belongs.
+  GroupSlot& GroupSlotFor(int64_t start, int64_t sectors);
 
-  std::unordered_map<uint64_t, CachedInput> cache_;
   RoundPlan plan_;
-  Stats stats_;
-
-  // Round scratch (cleared, capacity kept).
+  std::vector<PlannedBlock> riders_;  // every run's riders, in input order
+  std::vector<Run> runs_;
   std::vector<Group> groups_;
-  std::vector<GroupRef> refs_;
-  // Extent -> index into groups_: open addressing with linear probing at
-  // load <= 1/2, emptied every round with its capacity kept, so grouping
-  // allocates nothing once warm. Lookup-only; its order is never observed.
+  std::vector<OrderKey> order_;
+  // Open addressing with linear probing at load <= 1/2, sized from the
+  // previous round's group count. Lookup-only; its order is never observed.
   std::vector<GroupSlot> group_index_;
   int group_shift_ = 0;
-  std::vector<int32_t> clean_order_;
-  std::vector<int32_t> dirty_order_;
-  std::vector<int32_t> merged_order_;
-  std::vector<char> group_clean_;
-  // Previous round's merged (pre-rotation) read order, for sort reuse.
-  std::vector<OrderedIdentity> last_order_;
-  std::vector<OrderedIdentity> next_order_;
+  size_t read_groups_ = 0;
+  size_t last_read_groups_ = 0;
 };
+
+// One-shot wrapper: plans a single round with a fresh planner.
+RoundPlan BuildRoundPlan(const DiskModel& model, const std::vector<int64_t>& head_cylinders,
+                         int array_members, const std::vector<PlanInput>& inputs);
 
 }  // namespace vafs
 

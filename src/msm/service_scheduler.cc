@@ -11,6 +11,7 @@
 #include <utility>
 
 #include "src/obs/span.h"
+#include "src/util/checksum.h"
 
 namespace vafs {
 
@@ -22,7 +23,6 @@ ServiceScheduler::ServiceScheduler(StrandStore* store, Simulator* simulator,
     // Wall-clock engine wiring: the array owns parallel dispatch; the
     // scheduler only decides batch composition and folds the results.
     options_.disk_array->set_worker_pool(options_.worker_pool);
-    options_.disk_array->set_checksum_payloads(options_.verify_payloads);
   }
 }
 
@@ -85,7 +85,6 @@ void ServiceScheduler::RetireCompletedRequests() {
     // The consumer/producer were already folded and reset when the request
     // completed, so the stats snapshot is final.
     finished_stats_.emplace(id, slot.request.stats);
-    planner_.Forget(id);
     slot.id = 0;
     slot.request = ActiveRequest{};
     id_to_slot_[static_cast<size_t>(id)] = -1;
@@ -560,13 +559,18 @@ bool ServiceScheduler::TransferWithRetry(ActiveRequest* request, Disk* device,
   return false;
 }
 
-bool ServiceScheduler::ReadExtentWithRetry(ActiveRequest* request, Disk* device, int64_t sector,
-                                           int64_t sectors, SimTime* now) {
+bool ServiceScheduler::ReadExtentWithRetry(ActiveRequest* request, Disk* device,
+                                           const PrimaryEntry& extent, SimTime* now) {
+  const int64_t sector = extent.sector;
+  const int64_t sectors = extent.sector_count;
   Status fail = Status::Ok();
+  // Two-word captures keep both std::functions in their inline storage:
+  // a read costs no heap allocation.
   const bool ok = TransferWithRetry(
-      request, device, [device, sector, sectors] { return device->Read(sector, sectors, nullptr); },
-      [device, sector, sectors] { return device->PeekServiceTime(sector, sectors); }, sector,
-      sectors, now, &fail);
+      request, device,
+      [device, &extent] { return device->Read(extent.sector, extent.sector_count, nullptr); },
+      [device, &extent] { return device->PeekServiceTime(extent.sector, extent.sector_count); },
+      sector, sectors, now, &fail);
   if (ok) {
     return true;
   }
@@ -630,7 +634,7 @@ int64_t ServiceScheduler::ServicePlayback(ActiveRequest* request, SimTime* now) 
     }
     const PrimaryEntry& entry = playback.blocks[static_cast<size_t>(request->next_block)];
     if (!entry.IsSilence()) {
-      if (ReadExtentWithRetry(request, &store_->disk(), entry.sector, entry.sector_count, now)) {
+      if (ReadExtentWithRetry(request, &store_->disk(), entry, now)) {
         ++transferred;
       }
       // A skipped block falls through as a degraded frame: readiness is
@@ -971,12 +975,7 @@ int64_t ServiceScheduler::ExecutePlannedRound(SimTime* now) {
     } else {
       head_scratch_.push_back(disk.head_cylinder());
     }
-    if (options_.incremental_planning) {
-      planned = &planner_.Plan(model, head_scratch_, members, inputs);
-    } else {
-      BuildRoundPlanInto(model, head_scratch_, members, inputs, &scratch_plan_);
-      planned = &scratch_plan_;
-    }
+    planned = &planner_.Plan(model, head_scratch_, members, inputs);
     const std::vector<RequestId> collapsed = CollapsedCacheAdmissions(inputs, *planned);
     if (collapsed.empty()) {
       break;
@@ -1269,7 +1268,7 @@ int64_t ServiceScheduler::ExecutePlannedRound(SimTime* now) {
     }
     // Payload buffers come from the page pool, so verify_payloads rounds
     // stop allocating O(blocks) vectors: each wave borrows one page per
-    // batch entry and returns it at the barrier.
+    // batch entry, held until the payload pass that CRCs it.
     PagePool& page_pool =
         options_.block_cache != nullptr ? options_.block_cache->page_pool() : scratch_pool_;
     const int64_t sector_bytes = disk.bytes_per_sector();
@@ -1311,10 +1310,10 @@ int64_t ServiceScheduler::ExecutePlannedRound(SimTime* now) {
         break;
       }
       const SimTime wave_start = *now;
-      // With verify_payloads the wave reads real data and each member task
-      // CRCs its own payload behind the join barrier (see DiskArray). The
-      // pages are acquired and released on the scheduler thread only, so
-      // pool state stays deterministic for any worker count.
+      // With verify_payloads the wave reads real data into pool pages,
+      // which wait for the next payload pass. The pages are acquired and
+      // released on the scheduler thread only, so pool state stays
+      // deterministic for any worker count.
       wave_pages_.clear();
       if (options_.verify_payloads) {
         for (const DiskArray::BatchRequest& request : batch) {
@@ -1323,8 +1322,8 @@ int64_t ServiceScheduler::ExecutePlannedRound(SimTime* now) {
       }
       Result<DiskArray::BatchOutcome> outcome = array->ReadBatchInto(batch, wave_pages_);
       assert(outcome.ok());  // the planner only builds well-formed batches
-      for (std::vector<uint8_t>* page : wave_pages_) {
-        page_pool.Release(page);
+      for (size_t i = 0; i < wave_pages_.size(); ++i) {
+        held_pages_.push_back(HeldPage{wave_pages_[i], outcome->per_request[i].status.ok()});
       }
       *now = wave_start + outcome->completion_time;
 
@@ -1358,11 +1357,6 @@ int64_t ServiceScheduler::ExecutePlannedRound(SimTime* now) {
       for (size_t i = 0; i < wave.size(); ++i) {
         const PlannedTransfer& transfer = *wave[i];
         const DiskArray::MemberOutcome& member_outcome = outcome->per_request[i];
-        if (options_.verify_payloads && member_outcome.status.ok()) {
-          // Fold in batch order at the barrier: the digest is independent
-          // of which worker finished first.
-          payload_digest_ = (payload_digest_ ^ member_outcome.payload_crc) * 1099511628211ULL;
-        }
         attribute(transfer, member_outcome.service);
         const uint64_t entry_owner = plan.riders_of(transfer).front().request;
         const obs::SpanStage entry_stage = TransferStageFor(RequestAt(entry_owner));
@@ -1407,7 +1401,11 @@ int64_t ServiceScheduler::ExecutePlannedRound(SimTime* now) {
           }
         }
       }
+      if (held_pages_.size() >= kPayloadPassPages) {
+        VerifyHeldPayloads(&page_pool);
+      }
     }
+    VerifyHeldPayloads(&page_pool);
     for (const PlannedTransfer* transfer : append_scratch_) {
       run_append(*transfer);
     }
@@ -1486,6 +1484,38 @@ int64_t ServiceScheduler::ExecutePlannedRound(SimTime* now) {
     Emit(event);
   }
   return transferred_total;
+}
+
+void ServiceScheduler::VerifyHeldPayloads(PagePool* pool) {
+  if (held_pages_.empty()) {
+    return;
+  }
+  // One pointer per task fits std::function's inline storage, and the task
+  // vector keeps its capacity: a pass allocates nothing once warm.
+  payload_tasks_.resize(held_pages_.size());
+  for (size_t i = 0; i < held_pages_.size(); ++i) {
+    payload_tasks_[i] = [held = &held_pages_[i]] {
+      if (held->ok && !held->page->empty()) {
+        held->crc = Crc64(*held->page);
+      }
+    };
+  }
+  if (options_.worker_pool != nullptr) {
+    options_.worker_pool->RunAll(std::span<WorkerPool::Task>(payload_tasks_));
+  } else {
+    for (WorkerPool::Task& task : payload_tasks_) {
+      task();
+    }
+  }
+  // Fold in hold order (wave, then batch order) after the barrier: the
+  // digest is independent of which worker finished first.
+  for (const HeldPage& held : held_pages_) {
+    if (held.ok) {
+      payload_digest_ = (payload_digest_ ^ held.crc) * 1099511628211ULL;
+    }
+    pool->Release(held.page);
+  }
+  held_pages_.clear();
 }
 
 void ServiceScheduler::RunRound() {
@@ -1570,13 +1600,15 @@ void ServiceScheduler::RunRound() {
   } else {
     // Section 6.2 SCAN option: service this round's requests in
     // disk-position order, shrinking the inter-request repositioning cost.
-    std::vector<RequestId> round_order(service_order_.begin(), service_order_.end());
+    // A copy, since kSeekScan sorts it and the rotation keeps arrival
+    // order; member scratch, so a warm round does not allocate it.
+    round_order_.assign(service_order_.begin(), service_order_.end());
     if (options_.service_order == ServiceOrder::kSeekScan) {
-      std::sort(round_order.begin(), round_order.end(), [this](RequestId a, RequestId b) {
+      std::sort(round_order_.begin(), round_order_.end(), [this](RequestId a, RequestId b) {
         return NextSector(RequestAt(a)) < NextSector(RequestAt(b));
       });
     }
-    for (RequestId id : round_order) {
+    for (RequestId id : round_order_) {
       ActiveRequest& request = RequestAt(id);
       if (request.stats.completed || request.stats.paused) {
         continue;

@@ -45,6 +45,7 @@
 #include "src/obs/trace.h"
 #include "src/sim/simulator.h"
 #include "src/util/result.h"
+#include "src/util/worker_pool.h"
 
 namespace vafs {
 
@@ -148,11 +149,11 @@ struct SchedulerOptions {
   // results are byte-identical either way; only host CPU time changes.
   // Must outlive the scheduler. Requires disk_array to have any effect.
   WorkerPool* worker_pool = nullptr;
-  // End-to-end payload verification: planned waves read block data and
-  // each member task folds a CRC-64 of the bytes it moved; the scheduler
-  // combines them in batch order into payload_digest(). The hashing runs
-  // inside the member tasks (on the pool when one is set), keeping the
-  // checksum work off the round's critical path.
+  // End-to-end payload verification: planned waves read block data into
+  // pool pages, and the scheduler CRCs them in passes of up to
+  // ServiceScheduler::kPayloadPassPages pages (on worker_pool when set),
+  // folding each successful entry's CRC-64 into payload_digest() in wave
+  // and batch order.
   bool verify_payloads = false;
   // Cache-aware admission (kPlanned + cache only): a playback request the
   // Eq. 17 test rejects is still admitted when at least
@@ -167,12 +168,6 @@ struct SchedulerOptions {
   // per-round service records are reported here (see src/obs/trace.h).
   // The sink must outlive the scheduler.
   obs::TraceSink* trace = nullptr;
-  // Incremental round planning (kPlanned only): reuse each stream's cached
-  // coalesced runs and the previous round's C-SCAN order, re-sorting only
-  // streams whose extents changed (DESIGN.md section 15). Off = rebuild
-  // every plan from scratch. The dispatch program is byte-identical either
-  // way; bench_scale and the scale test verify the digests agree.
-  bool incremental_planning = true;
   // Activate every pending admission whose k ramp is already satisfied in
   // one round instead of one per round. k itself still steps at most once
   // per round (Eq. 18); only same-k activations batch, so a 20k-stream
@@ -226,20 +221,21 @@ class ServiceScheduler {
   int64_t active_request_count() const;
   int64_t rounds_executed() const { return rounds_; }
 
-  // Running FNV-1a-style fold of every payload CRC the planned waves
-  // computed (SchedulerOptions::verify_payloads), combined in batch order
-  // at each wave barrier — deterministic for any worker count. The offset
+  // Running FNV-1a-style fold of the CRC-64 of every payload the planned
+  // waves read successfully (SchedulerOptions::verify_payloads), in wave
+  // and batch order — deterministic for any worker count. The offset
   // basis when verification is off or nothing transferred yet.
   uint64_t payload_digest() const { return payload_digest_; }
+
+  // Pages a payload pass holds before it CRCs them. A constant, not a
+  // function of the worker count: the PagePool counters the metrics
+  // registry records must not move with the pool size.
+  static constexpr size_t kPayloadPassPages = 16;
 
   // Marks a request as a stream-merging patch: its transfers are charged
   // to the merge_patch stage of the round's span ledger instead of
   // transfer. The session layer tags patch tickets through this.
   void set_merge_patch(RequestId id, bool patch);
-
-  // Incremental-planner reuse counters (bench_scale reports these as the
-  // evidence that unchanged streams skip the per-round re-sort).
-  const IncrementalRoundPlanner::Stats& planner_stats() const { return planner_.stats(); }
 
  private:
   struct ActiveRequest {
@@ -294,9 +290,9 @@ class ServiceScheduler {
   ActiveRequest& RequestAt(RequestId id);
   const ActiveRequest& RequestAt(RequestId id) const;
   ActiveRequest& InsertRequest(RequestId id, ActiveRequest request);
-  // Moves every completed request's stats to finished_stats_, frees its
-  // slot and drops its cached planner runs. Round-edge only: within a
-  // round completed entries must stay findable.
+  // Moves every completed request's stats to finished_stats_ and frees its
+  // slot. Round-edge only: within a round completed entries must stay
+  // findable.
   void RetireCompletedRequests();
   // The slot-ledger column the request occupies (one of SlotSnapshot's
   // counters, or none for completed); delta is +-1.
@@ -366,7 +362,7 @@ class ServiceScheduler {
                          int64_t sectors, SimTime* now, Status* fail_status);
   // Reads one extent with the shared retry policy; on give-up records the
   // skip against `request` and traces it. Returns false when given up.
-  bool ReadExtentWithRetry(ActiveRequest* request, Disk* device, int64_t sector, int64_t sectors,
+  bool ReadExtentWithRetry(ActiveRequest* request, Disk* device, const PrimaryEntry& extent,
                            SimTime* now);
   // Reports the next playback block ready at `ready_time`: runs the
   // anti-jitter prelude until read-ahead is met, then feeds the consumer;
@@ -475,11 +471,11 @@ class ServiceScheduler {
   std::vector<RequestId> service_order_;  // round-robin order over active requests
   std::deque<PendingAdmission> pending_;
 
-  // Incremental planner and the per-round scratch arenas. All of these are
-  // cleared (capacity kept) every round, so a steady 20k-stream rotation
-  // allocates nothing on the hot path after warm-up.
-  IncrementalRoundPlanner planner_;
-  RoundPlan scratch_plan_;  // from-scratch planning (incremental_planning off)
+  // The planner and the per-round scratch arenas. All of these are cleared
+  // (capacity kept) every round, so a steady 20k-stream rotation allocates
+  // nothing on the hot path after warm-up.
+  RoundPlanner planner_;
+  std::vector<RequestId> round_order_;  // kRoundRobin/kSeekScan service order
   std::vector<PlanInput> plan_inputs_;
   // The live request behind each plan_inputs_ entry. Slots are stable for
   // the whole round (retirement is round-edge only), so the pointers hold.
@@ -525,6 +521,19 @@ class ServiceScheduler {
   std::vector<const PlannedTransfer*> wave_scratch_;
   std::vector<int64_t> wave_dist_scratch_;
   std::vector<std::vector<uint8_t>*> wave_pages_;  // pooled payload buffers
+  // verify_payloads: the pages of finished wave entries awaiting the next
+  // payload pass, in wave and batch order, and that pass's task storage.
+  struct HeldPage {
+    std::vector<uint8_t>* page = nullptr;
+    bool ok = false;  // the entry's read succeeded: its CRC is folded
+    uint64_t crc = 0;
+  };
+  std::vector<HeldPage> held_pages_;
+  std::vector<WorkerPool::Task> payload_tasks_;
+  // CRCs every held page in one pass on the worker pool, folds the
+  // successful entries' CRCs into payload_digest_ in hold order and
+  // releases the pages to `pool`.
+  void VerifyHeldPayloads(PagePool* pool);
 
   // Fills group_keys_/group_riders_[0..group_count_) with the transfer's
   // distinct extents in first-encounter order. One grouping is live at a

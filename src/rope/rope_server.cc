@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cmath>
 #include <string>
+#include <vector>
 
 #include "src/util/units.h"
 
@@ -650,19 +651,22 @@ Status RopeServer::EraseRope(RopeId id) {
 }
 
 int64_t RopeServer::CollectGarbage() {
-  std::set<StrandId> referenced = pinned_;
+  // A sorted vector rather than a std::set: one node allocation per
+  // reference made this call's tail hostage to the allocator's state.
+  std::vector<StrandId> referenced(pinned_.begin(), pinned_.end());
   for (const auto& [rope_id, rope] : ropes_) {
     for (const Track* track : {&rope->video(), &rope->audio()}) {
       for (const TrackSegment& segment : track->segments) {
         if (!segment.IsGap()) {
-          referenced.insert(segment.strand);
+          referenced.push_back(segment.strand);
         }
       }
     }
   }
+  std::sort(referenced.begin(), referenced.end());
   int64_t collected = 0;
   for (StrandId id : store_->AllIds()) {
-    if (referenced.count(id) == 0) {
+    if (!std::binary_search(referenced.begin(), referenced.end(), id)) {
       if (store_->Delete(id).ok()) {
         ++collected;
       }

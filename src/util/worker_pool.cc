@@ -50,7 +50,7 @@ void WorkerPool::WorkerLoop() {
   }
 }
 
-void WorkerPool::RunAll(std::vector<Task> tasks) {
+void WorkerPool::RunAll(std::span<Task> tasks) {
   if (workers_ == 1 || tasks.size() <= 1) {
     for (Task& task : tasks) {
       task();

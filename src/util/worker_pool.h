@@ -27,6 +27,7 @@
 #include <deque>
 #include <functional>
 #include <mutex>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -51,7 +52,11 @@ class WorkerPool {
   // still-queued ones, so tasks may run on the caller or on a worker.
   // Tasks must be independent: they may not submit to or drain this pool,
   // and any shared state they touch must be their own.
-  void RunAll(std::vector<Task> tasks);
+  void RunAll(std::vector<Task> tasks) { RunAll(std::span<Task>(tasks)); }
+  // The same over caller-owned storage, so a caller that runs passes every
+  // round can reuse its task vector. The tasks are left valid but
+  // unspecified (possibly moved-from): reassign them before the next pass.
+  void RunAll(std::span<Task> tasks);
 
   // Enqueues one background task (no join). Pair with Drain before
   // reading anything the task writes.

@@ -1,7 +1,9 @@
-// Planned-round hot path (ServiceScheduler::ExecutePlannedRound): once the
-// rotation is warm a round allocates nothing, and the per-request disk time
-// it reports in kRequestServiced is pinned — a shared transfer splits evenly
-// between its riders, a recording is charged its append time.
+// Round hot path: once the rotation is warm a round allocates nothing —
+// planned (ServiceScheduler::ExecutePlannedRound), round-robin and seek-scan
+// alike — the payload passes of an array round add no allocation, and the
+// per-request disk time a planned round reports in kRequestServiced is
+// pinned: a shared transfer splits evenly between its riders, a recording
+// is charged its append time.
 
 #include <gtest/gtest.h>
 
@@ -11,11 +13,13 @@
 #include <string>
 #include <vector>
 
+#include "src/disk/disk_array.h"
 #include "src/msm/block_cache.h"
 #include "src/msm/recorder.h"
 #include "src/msm/service_scheduler.h"
 #include "src/obs/trace.h"
 #include "src/sim/simulator.h"
+#include "src/util/worker_pool.h"
 #include "tests/test_support.h"
 
 // Counting replacement of the global allocator for this test binary (the
@@ -181,6 +185,94 @@ TEST_F(RoundHotPathTest, WarmPlannedRoundAllocatesNothing) {
   EXPECT_GT(sink_.deduped_blocks(), 0);
   EXPECT_GT(cache.stats().evictions, 0);
   EXPECT_EQ(scheduler.active_request_count(), 64);
+}
+
+class LegacyOrderHotPathTest : public RoundHotPathTest,
+                               public ::testing::WithParamInterface<ServiceOrder> {};
+
+TEST_P(LegacyOrderHotPathTest, WarmRoundAllocatesNothing) {
+  // 62 solo viewers served per request, one block each per round: a warm
+  // round copies the rotation into reused scratch, and each block read's
+  // retry closures fit std::function's inline storage.
+  std::vector<PlaybackRequest> titles;
+  for (int t = 0; t < 62; ++t) {
+    titles.push_back(MakePlayback(4.0, 900 + t));
+  }
+  SchedulerOptions options = PlannedOptions(nullptr);
+  options.service_order = GetParam();
+  ServiceScheduler scheduler(&store_, &sim_, MakeAdmission(), options);
+  for (const PlaybackRequest& title : titles) {
+    ASSERT_TRUE(scheduler.SubmitPlayback(title).ok());
+  }
+  // The measured round is chosen so that no consumer's play-out log
+  // crosses a power-of-two size.
+  for (int round = 0; round < 20; ++round) {
+    ASSERT_TRUE(sim_.Step());
+  }
+  sink_.Clear();
+  const int64_t before = g_allocations.load();
+  ASSERT_TRUE(sim_.Step());
+  const int64_t allocations = g_allocations.load() - before;
+  EXPECT_EQ(allocations, 0);
+  EXPECT_EQ(sink_.serviced().size(), 62u);
+  EXPECT_EQ(scheduler.active_request_count(), 62);
+}
+
+INSTANTIATE_TEST_SUITE_P(Orders, LegacyOrderHotPathTest,
+                         ::testing::Values(ServiceOrder::kRoundRobin, ServiceOrder::kSeekScan),
+                         [](const ::testing::TestParamInfo<ServiceOrder>& order) {
+                           return order.param == ServiceOrder::kRoundRobin ? "RoundRobin"
+                                                                          : "SeekScan";
+                         });
+
+TEST_F(RoundHotPathTest, PayloadPassesAddNoAllocationToAWarmArrayRound) {
+  // The same warm array round run with and without payload verification.
+  // 24 viewers on 4 members put 24 pages into a round, so one pass runs
+  // mid-round and one after the last wave. Verification may cost only the
+  // page pool's bookkeeping node for each page it hands out (every page is
+  // recycled once warm): the passes themselves allocate nothing.
+  std::vector<PlaybackRequest> titles;
+  for (int t = 0; t < 24; ++t) {
+    titles.push_back(MakePlayback(4.0, 900 + t));
+  }
+  struct Measured {
+    int64_t allocations = 0;
+    int64_t pages_created = 0;
+    int64_t pages_acquired = 0;
+  };
+  const auto measure = [&](bool verify) {
+    Simulator sim;
+    DiskArray array(HotPathDisk(), 4);
+    WorkerPool pool(1);
+    BlockCache pages(BlockCacheOptions{.capacity_bytes = 0});  // a page pool, no caching
+    SchedulerOptions options = PlannedOptions(&pages);
+    options.disk_array = &array;
+    options.worker_pool = &pool;
+    options.verify_payloads = verify;
+    ServiceScheduler scheduler(&store_, &sim, MakeAdmission(), options);
+    for (const PlaybackRequest& title : titles) {
+      EXPECT_TRUE(scheduler.SubmitPlayback(title).ok());
+    }
+    for (int round = 0; round < 20; ++round) {
+      EXPECT_TRUE(sim.Step());
+    }
+    const PagePool& pool_pages = pages.page_pool();
+    const int64_t created = pool_pages.pages_created();
+    const int64_t acquired = created + pool_pages.pages_recycled();
+    const int64_t before = g_allocations.load();
+    EXPECT_TRUE(sim.Step());
+    Measured measured;
+    measured.allocations = g_allocations.load() - before;
+    measured.pages_created = pool_pages.pages_created() - created;
+    measured.pages_acquired = pool_pages.pages_created() + pool_pages.pages_recycled() - acquired;
+    return measured;
+  };
+  const Measured plain = measure(false);
+  const Measured verified = measure(true);
+  EXPECT_EQ(plain.pages_acquired, 0);
+  EXPECT_GT(verified.pages_acquired, static_cast<int64_t>(ServiceScheduler::kPayloadPassPages));
+  EXPECT_EQ(verified.pages_created, 0);
+  EXPECT_EQ(verified.allocations - plain.allocations, verified.pages_acquired);
 }
 
 // Renders the kept kRequestServiced events as "round:request:blocks:duration"

@@ -1,17 +1,17 @@
-// Scale smoke test for the flat request table and incremental planner.
+// Scale smoke test for the flat request table and the round planner.
 //
 // DESIGN.md section 15: the round hot path was rebuilt around a flat,
-// generation-stamped slot table and an incremental round planner so one
-// node can carry tens of thousands of concurrent streams. The refactor's
+// generation-stamped slot table and a planner that reuses its working
+// storage across rounds, so one node can carry tens of thousands of
+// concurrent streams. The refactor's
 // contract is the same hard one the wall-clock engine carries: none of it
 // may change simulated-time results. This test drives ~5k concurrent
 // streams through a couple of planned rounds under a strict continuity
 // auditor and asserts every telemetry artifact is byte-identical across
 //
-//   - worker counts (1 vs 8 wall-clock workers),
+//   - worker counts (1 vs 8 wall-clock workers), and
 //   - slot-table iteration orders (live-id order vs raw slot scan, the
-//     legacy-map-equivalent vs flat-table orders), and
-//   - planner modes (incremental reuse vs from-scratch replanning).
+//     legacy-map-equivalent vs flat-table orders).
 //
 // Block playback is stretched far past the round time so the run is also
 // *clean* under Eq. 11 — at this population a ledger bug or a planner
@@ -54,7 +54,7 @@ struct ScaleImage {
   std::string auditor_report;
 };
 
-ScaleImage RunScale(int workers, bool scan_slot_order, bool incremental) {
+ScaleImage RunScale(int workers, bool scan_slot_order) {
   Disk disk(TestDiskParameters());
   StrandStore store(&disk);
 
@@ -101,7 +101,6 @@ ScaleImage RunScale(int workers, bool scan_slot_order, bool incremental) {
   options.forced_k = 1;
   options.batch_activation = true;  // all 5k join the rotation in one round
   options.scan_slot_order = scan_slot_order;
-  options.incremental_planning = incremental;
   const double avg = std::max(store.AverageScatteringSec(), 1e-4);
   ServiceScheduler scheduler(&store, &sim, AdmissionControl(TestStorage(), avg), options);
 
@@ -159,18 +158,15 @@ void ExpectSameImage(const ScaleImage& image, const ScaleImage& reference,
 
 TEST(ScaleSmokeTest, FiveThousandStreamsAreByteIdenticalAcrossHotPathModes) {
   const ScaleImage reference =
-      RunScale(/*workers=*/1, /*scan_slot_order=*/false, /*incremental=*/true);
+      RunScale(/*workers=*/1, /*scan_slot_order=*/false);
   EXPECT_TRUE(reference.auditor_clean) << reference.auditor_report;
   EXPECT_GE(reference.rounds, 2);
   EXPECT_EQ(reference.blocks_done, kStreams * kBlocksPerStream);
   EXPECT_FALSE(reference.trace.empty());
 
-  ExpectSameImage(RunScale(/*workers=*/8, /*scan_slot_order=*/false, /*incremental=*/true),
-                  reference, "workers=8");
-  ExpectSameImage(RunScale(/*workers=*/1, /*scan_slot_order=*/true, /*incremental=*/true),
-                  reference, "scan_slot_order");
-  ExpectSameImage(RunScale(/*workers=*/1, /*scan_slot_order=*/false, /*incremental=*/false),
-                  reference, "from_scratch_planning");
+  ExpectSameImage(RunScale(/*workers=*/8, /*scan_slot_order=*/false), reference, "workers=8");
+  ExpectSameImage(RunScale(/*workers=*/1, /*scan_slot_order=*/true), reference,
+                  "scan_slot_order");
 }
 
 }  // namespace

@@ -1,5 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <random>
+#include <sstream>
+#include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "src/msm/recorder.h"
@@ -140,66 +147,220 @@ TEST_F(RoundPlannerTest, CacheHitsPlanNoTransfer) {
   EXPECT_EQ(plan.data_blocks, 2);
 }
 
-void ExpectSamePlan(const RoundPlan& expected, const RoundPlan& actual) {
-  EXPECT_EQ(actual.data_blocks, expected.data_blocks);
-  EXPECT_EQ(actual.cache_hits, expected.cache_hits);
-  EXPECT_EQ(actual.read_transfers, expected.read_transfers);
-  EXPECT_EQ(actual.coalesced_blocks, expected.coalesced_blocks);
-  EXPECT_EQ(actual.deduped_blocks, expected.deduped_blocks);
-  ASSERT_EQ(actual.transfers.size(), expected.transfers.size());
-  for (size_t t = 0; t < expected.transfers.size(); ++t) {
-    const PlannedTransfer& e = expected.transfers[t];
-    const PlannedTransfer& a = actual.transfers[t];
-    EXPECT_EQ(a.is_append, e.is_append) << "transfer " << t;
-    EXPECT_EQ(a.start_sector, e.start_sector) << "transfer " << t;
-    EXPECT_EQ(a.sectors, e.sectors) << "transfer " << t;
-    EXPECT_EQ(a.member, e.member) << "transfer " << t;
-    EXPECT_EQ(a.append_request, e.append_request) << "transfer " << t;
-    ASSERT_EQ(a.rider_count, e.rider_count) << "transfer " << t;
-    for (size_t r = 0; r < e.rider_count; ++r) {
-      const PlannedBlock& eb = expected.riders_of(e)[r];
-      const PlannedBlock& ab = actual.riders_of(a)[r];
-      EXPECT_EQ(ab.request, eb.request);
-      EXPECT_EQ(ab.ordinal, eb.ordinal);
-      EXPECT_EQ(ab.sector, eb.sector);
-      EXPECT_EQ(ab.sectors, eb.sectors);
-      EXPECT_EQ(ab.slot, eb.slot);
+// Reference planner: the straightforward form of the planning rules —
+// per-input coalescing into transfers with their own rider lists, an
+// ordered-map dedup by extent, and a stable C-SCAN sort. RoundPlanner must
+// emit exactly this program.
+RoundPlan ReferencePlan(const DiskModel& model, const std::vector<int64_t>& head_cylinders,
+                        int array_members, const std::vector<PlanInput>& inputs) {
+  RoundPlan out;
+  const int members = std::max(array_members, 1);
+  struct Build {
+    PlannedTransfer transfer;
+    std::vector<PlannedBlock> riders;
+  };
+  std::vector<Build> reads;
+  int32_t slot = 0;
+  for (const PlanInput& input : inputs) {
+    Build* run = nullptr;
+    bool run_broken = true;
+    for (const PlanCandidate& candidate : input.blocks) {
+      const int32_t this_slot = slot++;
+      if (candidate.silence) {
+        run_broken = true;
+        continue;
+      }
+      ++out.data_blocks;
+      if (candidate.cache_hit) {
+        ++out.cache_hits;
+        run_broken = true;
+        continue;
+      }
+      const int member = members > 1 ? static_cast<int>(candidate.ordinal % members) : 0;
+      PlannedBlock block{input.request, candidate.ordinal, candidate.sector, candidate.sectors,
+                         this_slot};
+      if (!run_broken && run != nullptr && run->transfer.member == member &&
+          run->transfer.start_sector + run->transfer.sectors == candidate.sector) {
+        run->transfer.sectors += candidate.sectors;
+        run->riders.push_back(block);
+        ++out.coalesced_blocks;
+        continue;
+      }
+      Build build;
+      build.transfer.start_sector = candidate.sector;
+      build.transfer.sectors = candidate.sectors;
+      build.transfer.member = member;
+      build.riders.push_back(block);
+      reads.push_back(std::move(build));
+      run = &reads.back();
+      run_broken = false;
+    }
+    if (input.append_blocks > 0) {
+      Build append;
+      append.transfer.is_append = true;
+      append.transfer.append_request = input.request;
+      append.transfer.append_blocks = input.append_blocks;
+      append.transfer.start_sector = std::max<int64_t>(input.append_position_sector, 0);
+      reads.push_back(std::move(append));
     }
   }
+  std::map<std::pair<int64_t, int64_t>, size_t> by_extent;
+  std::vector<Build> unique;
+  for (Build& build : reads) {
+    if (build.transfer.is_append) {
+      unique.push_back(std::move(build));
+      continue;
+    }
+    const auto key = std::make_pair(build.transfer.start_sector, build.transfer.sectors);
+    auto found = by_extent.find(key);
+    if (found != by_extent.end()) {
+      Build& host = unique[found->second];
+      out.deduped_blocks += static_cast<int64_t>(build.riders.size());
+      host.riders.insert(host.riders.end(), build.riders.begin(), build.riders.end());
+      continue;
+    }
+    by_extent.emplace(key, unique.size());
+    unique.push_back(std::move(build));
+  }
+  const auto scan_key = [&](const PlannedTransfer& transfer) {
+    const int64_t head = transfer.member < static_cast<int>(head_cylinders.size())
+                             ? head_cylinders[static_cast<size_t>(transfer.member)]
+                             : 0;
+    const int64_t cylinder = model.SectorToCylinder(transfer.start_sector);
+    return std::make_tuple(cylinder >= head ? 0 : 1, cylinder, transfer.start_sector);
+  };
+  std::stable_sort(unique.begin(), unique.end(), [&](const Build& a, const Build& b) {
+    if (a.transfer.member != b.transfer.member) {
+      return a.transfer.member < b.transfer.member;
+    }
+    return scan_key(a.transfer) < scan_key(b.transfer);
+  });
+  for (Build& build : unique) {
+    PlannedTransfer transfer = build.transfer;
+    transfer.rider_begin = static_cast<uint32_t>(out.riders.size());
+    transfer.rider_count = static_cast<uint32_t>(build.riders.size());
+    out.riders.insert(out.riders.end(), build.riders.begin(), build.riders.end());
+    if (!transfer.is_append) {
+      ++out.read_transfers;
+    }
+    out.transfers.push_back(transfer);
+  }
+  return out;
 }
 
-TEST_F(RoundPlannerTest, IncrementalPlannerMatchesFromScratchAcrossRounds) {
-  // Request 1 coalesces [100, 108) out of two blocks while request 2 wants
-  // only [100, 104): one start sector, two extents, two transfers. Forty
-  // more requests want three scattered blocks each, more groups than the
-  // incremental planner's extent index starts with, and half of them
-  // advance every round so clean and re-sorted groups mix.
-  for (const int members : {1, 2}) {
-    IncrementalRoundPlanner planner;
-    for (int round = 0; round < 4; ++round) {
-      std::vector<PlanInput> inputs(2);
-      inputs[0].request = 1;
-      inputs[0].blocks = {AtSector(0, 100, 4), AtSector(1, 104, 4)};
-      inputs[1].request = 2;
-      inputs[1].blocks = {AtSector(0, 100, 4)};
-      for (int r = 0; r < 40; ++r) {
-        PlanInput input;
-        input.request = static_cast<uint64_t>(10 + r);
-        const int64_t step = r % 2 == 0 ? round : 0;
-        for (int64_t b = 0; b < 3; ++b) {
-          input.blocks.push_back(AtCylinder(step + 2 * b, (r * 37 + step * 3 + b * 61) % 190 + 5));
-        }
-        inputs.push_back(input);
-      }
-      // A lockstep viewer of request 1, entered after the index has grown,
-      // must still ride request 1's transfer.
-      PlanInput lockstep = inputs[0];
-      lockstep.request = 99;
-      inputs.push_back(lockstep);
-      const std::vector<int64_t> heads(static_cast<size_t>(members), 60);
-      const RoundPlan expected = BuildRoundPlan(model_, heads, members, inputs);
-      ExpectSamePlan(expected, planner.Plan(model_, heads, members, inputs));
+// The first field where two plans differ, or "" when they are identical.
+std::string FirstDifference(const RoundPlan& expected, const RoundPlan& actual) {
+  std::ostringstream diff;
+  const auto check = [&diff](const char* what, int64_t want, int64_t got) {
+    if (diff.tellp() == 0 && want != got) {
+      diff << what << ": expected " << want << ", got " << got;
     }
+  };
+  check("data_blocks", expected.data_blocks, actual.data_blocks);
+  check("cache_hits", expected.cache_hits, actual.cache_hits);
+  check("read_transfers", expected.read_transfers, actual.read_transfers);
+  check("coalesced_blocks", expected.coalesced_blocks, actual.coalesced_blocks);
+  check("deduped_blocks", expected.deduped_blocks, actual.deduped_blocks);
+  check("transfers", static_cast<int64_t>(expected.transfers.size()),
+        static_cast<int64_t>(actual.transfers.size()));
+  check("riders", static_cast<int64_t>(expected.riders.size()),
+        static_cast<int64_t>(actual.riders.size()));
+  for (size_t t = 0; diff.tellp() == 0 && t < expected.transfers.size(); ++t) {
+    const PlannedTransfer& e = expected.transfers[t];
+    const PlannedTransfer& a = actual.transfers[t];
+    check("is_append", e.is_append, a.is_append);
+    check("start_sector", e.start_sector, a.start_sector);
+    check("sectors", e.sectors, a.sectors);
+    check("member", e.member, a.member);
+    check("rider_begin", e.rider_begin, a.rider_begin);
+    check("rider_count", e.rider_count, a.rider_count);
+    check("append_request", static_cast<int64_t>(e.append_request),
+          static_cast<int64_t>(a.append_request));
+    check("append_blocks", e.append_blocks, a.append_blocks);
+    if (diff.tellp() != 0) {
+      diff << " (transfer " << t << ")";
+    }
+  }
+  for (size_t r = 0; diff.tellp() == 0 && r < expected.riders.size(); ++r) {
+    const PlannedBlock& e = expected.riders[r];
+    const PlannedBlock& a = actual.riders[r];
+    check("rider request", static_cast<int64_t>(e.request), static_cast<int64_t>(a.request));
+    check("rider ordinal", e.ordinal, a.ordinal);
+    check("rider sector", e.sector, a.sector);
+    check("rider sectors", e.sectors, a.sectors);
+    check("rider slot", e.slot, a.slot);
+    if (diff.tellp() != 0) {
+      diff << " (rider " << r << ")";
+    }
+  }
+  return diff.str();
+}
+
+TEST_F(RoundPlannerTest, ReusedPlannerMatchesReferenceOnRandomRounds) {
+  // Seeded random rounds through one reused planner: 1-4 members, silence,
+  // cache hits, abutting runs (ordinal steps of one or of the member count,
+  // so runs coalesce on arrays too), extents drawn from a small pool and
+  // lockstep copies of earlier inputs (cross-input dedup, including one
+  // start sector under two lengths), and appends at negative positions.
+  // Every 500th round is wide enough to grow the extent index, and the
+  // next one narrow again, so its sizing from the previous round is run.
+  const int64_t per_cylinder = model_.params().SectorsPerCylinder();
+  const int64_t cylinders = model_.params().cylinders;
+  std::mt19937_64 rng(20261019);
+  const auto uniform = [&rng](int64_t lo, int64_t hi) {  // [lo, hi]
+    return std::uniform_int_distribution<int64_t>(lo, hi)(rng);
+  };
+  RoundPlanner planner;
+  constexpr int kRounds = 100000;
+  for (int round = 0; round < kRounds; ++round) {
+    const int members = static_cast<int>(uniform(1, 4));
+    const bool wide = round % 500 == 499;
+    const int64_t input_count = wide ? uniform(150, 300) : uniform(1, 10);
+    // Extent starts come from a pool of this many 4-sector positions spread
+    // over the disk; a small pool makes inputs collide.
+    const int64_t pool = std::vector<int64_t>{8, 64, 1024}[static_cast<size_t>(uniform(0, 2))];
+    const int64_t stride = std::max<int64_t>(4, (cylinders * per_cylinder / pool) / 4 * 4);
+    std::vector<PlanInput> inputs;
+    for (int64_t i = 0; i < input_count; ++i) {
+      PlanInput input;
+      input.request = static_cast<uint64_t>(1000 + i);
+      if (!inputs.empty() && uniform(0, 5) == 0) {
+        // A lockstep viewer: another input's exact candidates.
+        input.blocks = inputs[static_cast<size_t>(uniform(0, i - 1))].blocks;
+      } else {
+        int64_t ordinal = uniform(0, 20);
+        int64_t next_sector = uniform(0, pool - 1) * stride;
+        const int64_t blocks = uniform(0, 6);
+        for (int64_t b = 0; b < blocks; ++b) {
+          PlanCandidate candidate;
+          candidate.ordinal = ordinal;
+          const int64_t kind = uniform(0, 9);
+          if (kind == 0) {
+            candidate.silence = true;
+          } else {
+            candidate.cache_hit = kind == 1;
+            candidate.sector = uniform(0, 2) == 0 ? uniform(0, pool - 1) * stride : next_sector;
+            candidate.sectors = uniform(0, 3) == 0 ? 8 : 4;
+            next_sector = candidate.sector + candidate.sectors;
+          }
+          input.blocks.push_back(candidate);
+          ordinal += uniform(0, 1) == 0 ? 1 : members;
+        }
+      }
+      if (uniform(0, 7) == 0) {
+        input.append_blocks = uniform(1, 3);
+        input.append_position_sector = uniform(-2 * per_cylinder, cylinders * per_cylinder - 1);
+      }
+      inputs.push_back(std::move(input));
+    }
+    std::vector<int64_t> heads;
+    for (int m = 0; m < members; ++m) {
+      heads.push_back(uniform(0, cylinders - 1));
+    }
+    const RoundPlan& actual = planner.Plan(model_, heads, members, inputs);
+    const std::string diff = FirstDifference(ReferencePlan(model_, heads, members, inputs), actual);
+    ASSERT_EQ(diff, "") << "round " << round << " (" << members << " members, " << input_count
+                        << " inputs)";
   }
 }
 

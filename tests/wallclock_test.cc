@@ -215,41 +215,106 @@ TEST(WallclockDiskArrayTest, FaultedMemberChargesMechanicalTimeIntoCompletion) {
   }
 }
 
-TEST(WallclockDiskArrayTest, PayloadChecksumsMatchAcrossWorkerCounts) {
-  // Write distinct payloads to each member, then read them back with
-  // checksumming on: the per-request CRCs must be worker-count invariant.
-  std::vector<uint64_t> reference;
-  for (int workers : {1, 4}) {
-    DiskArray array(TestDiskParameters(), 3);
-    WorkerPool pool(workers);
-    array.set_worker_pool(&pool);
-    array.set_checksum_payloads(true);
-    const int64_t sector_bytes = array.member(0).bytes_per_sector();
-    std::vector<std::vector<uint8_t>> data;
-    std::vector<DiskArray::BatchRequest> batch;
-    for (int m = 0; m < 3; ++m) {
-      batch.push_back(DiskArray::BatchRequest{m, 64 * (m + 1), 4});
-      data.push_back(
-          std::vector<uint8_t>(static_cast<size_t>(4 * sector_bytes), static_cast<uint8_t>(m + 7)));
+// payload_digest() of a verify_payloads run over a kMembers array whose
+// members mirror the recorded strands byte for byte, so every wave entry
+// reads real, distinct data. Eight streams at k = 4 put more than
+// ServiceScheduler::kPayloadPassPages pages into a round (passes run mid-
+// round as well as after the last wave), and one block on member 2 sits on
+// a bad range, so one wave entry faults and its page must not be folded.
+struct PayloadRun {
+  uint64_t digest = 0;
+  int64_t max_round_transfers = 0;
+  int64_t blocks_skipped = 0;
+};
+
+PayloadRun RunPayloadWorkload(int workers) {
+  Disk disk(TestDiskParameters());
+  StrandStore store(&disk);
+  ContinuityModel model(TestStorage(), TestVideoDevice());
+  Result<StrandPlacement> placement =
+      model.DerivePlacement(RetrievalArchitecture::kPipelined, TestVideo());
+  EXPECT_TRUE(placement.ok());
+  std::vector<PlaybackRequest> requests;
+  for (int i = 0; i < 8; ++i) {
+    VideoSource source(TestVideo(), 500 + static_cast<uint64_t>(i));
+    Result<RecordingResult> recorded = RecordVideo(&store, &source, *placement, 1.5);
+    EXPECT_TRUE(recorded.ok());
+    const Strand* strand = *store.Get(recorded->strand);
+    PlaybackRequest request;
+    for (int64_t b = 0; b < strand->block_count(); ++b) {
+      request.blocks.push_back(*strand->index().Lookup(b));
     }
-    Result<DiskArray::BatchOutcome> wrote = array.WriteBatch(batch, data);
-    ASSERT_TRUE(wrote.ok());
-    ASSERT_TRUE(wrote->AllOk());
-    std::vector<std::vector<uint8_t>> read;
-    Result<DiskArray::BatchOutcome> outcome = array.ReadBatch(batch, &read);
-    ASSERT_TRUE(outcome.ok());
-    ASSERT_TRUE(outcome->AllOk());
-    std::vector<uint64_t> crcs;
-    for (size_t i = 0; i < outcome->per_request.size(); ++i) {
-      EXPECT_EQ(outcome->per_request[i].payload_crc, wrote->per_request[i].payload_crc);
-      EXPECT_NE(outcome->per_request[i].payload_crc, 0u);
-      crcs.push_back(outcome->per_request[i].payload_crc);
+    request.block_duration = strand->info().BlockDuration();
+    request.spec = RequestSpec{TestVideo(), placement->granularity};
+    requests.push_back(std::move(request));
+  }
+
+  DiskArray array(TestDiskParameters(), kMembers);
+  std::vector<uint8_t> bytes;
+  for (const PlaybackRequest& request : requests) {
+    for (const PrimaryEntry& entry : request.blocks) {
+      if (entry.IsSilence()) {
+        continue;
+      }
+      EXPECT_TRUE(disk.Read(entry.sector, entry.sector_count, &bytes).ok());
+      for (int m = 0; m < kMembers; ++m) {
+        EXPECT_TRUE(array.member(m).Write(entry.sector, entry.sector_count, bytes).ok());
+      }
     }
-    if (reference.empty()) {
-      reference = crcs;
-    } else {
-      EXPECT_EQ(crcs, reference);
+  }
+  const PrimaryEntry& bad = requests[3].blocks[2];  // ordinal 2: member 2
+  array.member(2).fault_injector().MarkBad(bad.sector, bad.sector_count);
+
+  obs::TraceLog log;
+  WorkerPool pool(workers);
+  Simulator sim;
+  SchedulerOptions options;
+  options.trace = &log;
+  options.service_order = ServiceOrder::kPlanned;
+  options.disk_array = &array;
+  options.worker_pool = &pool;
+  options.verify_payloads = true;
+  options.bypass_admission = true;
+  options.forced_k = 4;
+  options.batch_activation = true;
+  const double avg = std::max(store.AverageScatteringSec(), 1e-4);
+  ServiceScheduler scheduler(&store, &sim, AdmissionControl(TestStorage(), avg), options);
+  std::vector<RequestId> ids;
+  for (PlaybackRequest& request : requests) {
+    Result<RequestId> id = scheduler.SubmitPlayback(std::move(request));
+    EXPECT_TRUE(id.ok());
+    if (id.ok()) {
+      ids.push_back(*id);
     }
+  }
+  scheduler.RunUntilIdle();
+
+  PayloadRun run;
+  run.digest = scheduler.payload_digest();
+  for (const obs::TraceEvent& event : log.events()) {
+    if (event.kind == obs::TraceEventKind::kRoundPlanned) {
+      run.max_round_transfers = std::max(run.max_round_transfers, event.transfers);
+    }
+  }
+  for (RequestId id : ids) {
+    run.blocks_skipped += scheduler.stats(id)->blocks_skipped;
+  }
+  return run;
+}
+
+TEST(WallclockDeterminismTest, PayloadDigestIsPinnedAcrossWorkerCounts) {
+  // Pinned from the implementation that checksummed inside the member
+  // tasks at each wave barrier: pooled passes must fold the same bytes of
+  // the same successful entries in the same order.
+  constexpr uint64_t kPinnedDigest = 0x024df92bafa5a082ULL;
+  for (int workers : {1, 2, 4, 8}) {
+    const PayloadRun run = RunPayloadWorkload(workers);
+    EXPECT_GT(run.max_round_transfers,
+              static_cast<int64_t>(ServiceScheduler::kPayloadPassPages))
+        << "workers=" << workers;
+    EXPECT_GT(run.blocks_skipped, 0) << "workers=" << workers;
+    EXPECT_EQ(run.digest, kPinnedDigest) << "workers=" << workers << std::hex
+                                         << " digest=0x" << run.digest;
   }
 }
 

@@ -4,11 +4,6 @@
 Run from a directory containing BENCH_scale_metrics.json (dropped by
 bench_scale next to its printed tables). Fails (exit 1) when:
 
-  - determinism breaks across planner modes: the 5k-viewer sweep run
-    with incremental round planning disagrees with the from-scratch run
-    on any simulated-time result (trace / SLO / audit digest, round
-    count, simulated completion, admitted streams). Incremental planning
-    is a pure hot-path optimisation -- it must replan byte-identically;
   - determinism breaks across worker counts: any multi-worker waves run
     disagrees with the single-worker reference on trace / SLO / payload
     digests or counters. Wall-clock parallelism must never change
@@ -20,7 +15,7 @@ Advisory (reported, never fatal -- wall-clock cost depends on the host):
 
   - per-(stream x round) wall cost at the largest sweep size should stay
     within 5x of the 1k-viewer run; the flat request table and the
-    incremental planner exist to keep that ratio flat;
+    allocation-free planner exist to keep that ratio flat;
   - the waves runs should recycle PagePool pages (reuse ratio > 0).
 """
 
@@ -32,11 +27,6 @@ FAILURES = []
 # The per-(stream x round) cost ratio the scale refactor targets.
 COST_RATIO_LIMIT = 5.0
 
-SWEEP_DETERMINISM_KEYS = (
-    "trace_digest", "slo_digest", "audit_digest",
-    "rounds", "trace_events", "completion_usec", "admitted",
-    "sessions_batched", "sessions_merged",
-)
 WAVES_DETERMINISM_KEYS = (
     "trace_digest", "slo_digest", "payload_digest",
     "rounds", "trace_events", "completion_usec", "admitted",
@@ -60,7 +50,7 @@ def load(path: str):
 
 
 def check_alive(path: str, run) -> None:
-    tag = f"{run.get('part')} viewers={run.get('viewers')} mode={run.get('mode')}"
+    tag = f"{run.get('part')} viewers={run.get('viewers')} workers={run.get('workers')}"
     if run.get("rounds", 0) <= 0:
         fail(f"{path}: {tag} executed no rounds")
     if run.get("trace_events", 0) <= 0:
@@ -83,24 +73,7 @@ def check_scale(path: str) -> None:
     sweeps = [r for r in runs if r.get("part") == "sweep"]
     waves = [r for r in runs if r.get("part") == "waves"]
 
-    # Hard gate 1: incremental vs from-scratch planning, same population.
-    scratch = [r for r in sweeps if r.get("mode") == "from_scratch"]
-    if not scratch:
-        fail(f"{path}: no from-scratch sweep recorded")
-    for ref in scratch:
-        twin = next((r for r in sweeps if r.get("mode") == "incremental"
-                     and r.get("viewers") == ref.get("viewers")), None)
-        if twin is None:
-            fail(f"{path}: from-scratch sweep at {ref.get('viewers')} viewers "
-                 f"has no incremental twin")
-            continue
-        for key in SWEEP_DETERMINISM_KEYS:
-            if twin.get(key) != ref.get(key):
-                fail(f"{path}: viewers={ref.get('viewers')} {key} = "
-                     f"{twin.get(key)!r} (incremental) != {ref.get(key)!r} "
-                     f"(from scratch) -- incremental planning changed results")
-
-    # Hard gate 2: waves across worker counts.
+    # Hard gate: waves across worker counts.
     if not waves:
         fail(f"{path}: no waves runs recorded")
     else:
@@ -115,16 +88,13 @@ def check_scale(path: str) -> None:
                          f"{reference.get(key)!r} (determinism broken)")
 
     if not FAILURES:
-        digests = {r.get("trace_digest") for r in sweeps}
         print(f"ok: {len(sweeps)} sweep run(s) and {len(waves)} waves run(s), "
-              f"digests stable across planner modes and worker counts "
-              f"({len(digests)} distinct populations)")
+              f"digests stable across worker counts")
 
     # Advisory: per-(stream x round) wall cost vs the smallest sweep.
-    incremental = sorted((r for r in sweeps if r.get("mode") == "incremental"),
-                         key=lambda r: r.get("viewers", 0))
-    if len(incremental) >= 2:
-        base, peak = incremental[0], incremental[-1]
+    ordered = sorted(sweeps, key=lambda r: r.get("viewers", 0))
+    if len(ordered) >= 2:
+        base, peak = ordered[0], ordered[-1]
         base_cost = base.get("stream_round_cost_wall_sec", 0.0)
         peak_cost = peak.get("stream_round_cost_wall_sec", 0.0)
         if base_cost > 0.0:
