@@ -2,15 +2,18 @@
 // 8-member array, with determinism receipts.
 //
 // The same planned-round workload (8 streams, one strand each, spread
-// across the array's address space, payload checksumming ON so the
-// pooled CRC passes carry real CPU) runs kRepetitions times per worker count;
-// one run lasts only tens of milliseconds, so the fastest repetition is
+// across the array's address space, payload checksumming ON) runs
+// kRepetitions times per worker count. Member waves are served serially on
+// the scheduler thread; the worker count only sizes the pool that runs the
+// scheduler's payload CRC passes, the one host-parallel stage of a round.
+// One run lasts only tens of milliseconds, so the fastest repetition is
 // reported, and every repetition must reproduce the first one's digests.
 // For each worker count the bench reports wall-clock rounds/sec plus four
 // digests of the simulated-time results — trace stream, SLO report,
-// payload CRCs and the final completion time. The engine's contract is that every digest is
-// identical across worker counts; tools/check_wallclock.py gates on that
-// (hard) and on multi-worker throughput >= single-worker (relaxed to
+// payload CRCs and the final completion time. The engine's contract is
+// that every digest is identical across worker counts;
+// tools/check_wallclock.py gates on that (hard) and on the pooled payload
+// passes keeping multi-worker throughput >= single-worker (relaxed to
 // advisory when the runner has one hardware thread, where no speedup is
 // physically possible).
 //
@@ -40,8 +43,8 @@ constexpr double kStreamSeconds = 20.0;
 constexpr int kWorkerCounts[] = {1, 2, 4, 8};
 constexpr int kRepetitions = 5;
 
-// Seek-dominated member geometry (as in bench_roundplan): waves carry
-// enough mechanical time that per-member tasks are worth parallelizing.
+// Seek-dominated member geometry (as in bench_roundplan), with transfers
+// large enough that each payload page carries a real CRC.
 DiskParameters WallclockDisk() {
   DiskParameters params;
   params.cylinders = 5000;
@@ -236,7 +239,7 @@ void WriteWallclockJson(const std::vector<WallclockOutcome>& outcomes) {
 // Returns false when the simulated results broke determinism, across
 // worker counts or across the repetitions of one worker count.
 bool PrintWallclockTables() {
-  PrintHeader("wall-clock engine", "parallel member waves, identical simulated results");
+  PrintHeader("wall-clock engine", "pooled payload passes, identical simulated results");
   PrintOperatingPoint(WallclockDisk());
   std::printf("host threads: %u, array members: %d, streams: %d, best of %d repetitions\n",
               std::thread::hardware_concurrency(), kMembers, kStreams, kRepetitions);

@@ -4,9 +4,6 @@
 #include <cassert>
 #include <string>
 
-#include "src/obs/trace.h"
-#include "src/util/worker_pool.h"
-
 namespace vafs {
 
 DiskArray::DiskArray(const DiskParameters& member_params, int members, DiskOptions options) {
@@ -28,64 +25,43 @@ DiskArray::DiskArray(const DiskParameters& member_params, int members, DiskOptio
 }
 
 Status DiskArray::ValidateBatch(const std::vector<BatchRequest>& batch) const {
-  std::vector<bool> used(disks_.size(), false);
-  for (const BatchRequest& request : batch) {
-    if (request.member < 0 || request.member >= members()) {
+  for (size_t i = 0; i < batch.size(); ++i) {
+    const int member = batch[i].member;
+    if (member < 0 || member >= members()) {
       return Status(ErrorCode::kInvalidArgument,
-                    "batch names member " + std::to_string(request.member) + " of " +
+                    "batch names member " + std::to_string(member) + " of " +
                         std::to_string(members()));
     }
-    if (used[static_cast<size_t>(request.member)]) {
-      // Two requests on one member cannot proceed concurrently; callers
-      // must split such work across batches.
-      return Status(ErrorCode::kInvalidArgument,
-                    "batch has two requests for member " + std::to_string(request.member));
+    // A batch holds at most one request per member, so this scan is over
+    // a handful of entries and needs no scratch.
+    for (size_t j = 0; j < i; ++j) {
+      if (batch[j].member == member) {
+        // Two requests on one member cannot proceed concurrently; callers
+        // must split such work across batches.
+        return Status(ErrorCode::kInvalidArgument,
+                      "batch has two requests for member " + std::to_string(member));
+      }
     }
-    used[static_cast<size_t>(request.member)] = true;
   }
   return Status::Ok();
 }
 
-void DiskArray::DispatchBatch(const std::vector<BatchRequest>& batch,
-                              const std::function<void(size_t)>& serve, BatchOutcome* outcome) {
-  // Redirect each participating member's trace stream into a private
-  // buffer, so parallel tasks cannot interleave emissions in the shared
-  // sink graph. The swap happens before dispatch and the replay after the
-  // join, both on the coordinating thread; inside the window each task
-  // exclusively owns its member Disk and therefore its buffer.
-  std::vector<obs::BufferedTraceSink> buffers(batch.size());
-  std::vector<obs::TraceSink*> original(batch.size(), nullptr);
+template <typename Op>
+void DiskArray::DispatchBatch(const std::vector<BatchRequest>& batch, Op op,
+                              BatchOutcome* outcome) {
+  outcome->completion_time = 0;
+  outcome->per_request.resize(batch.size());
   for (size_t i = 0; i < batch.size(); ++i) {
     Disk& disk = *disks_[static_cast<size_t>(batch[i].member)];
-    original[i] = disk.trace_sink();
-    if (original[i] != nullptr) {
-      disk.set_trace_sink(&buffers[i]);
+    Result<SimDuration> service = op(disk, batch[i], i);
+    MemberOutcome& fate = outcome->per_request[i];
+    if (service.ok()) {
+      fate.status = Status::Ok();
+      fate.service = *service;
+    } else {
+      fate.status = service.status();
+      fate.service = disk.last_fault_service();
     }
-  }
-  if (pool_ != nullptr && pool_->workers() > 1 && batch.size() > 1) {
-    std::vector<WorkerPool::Task> tasks;
-    tasks.reserve(batch.size());
-    for (size_t i = 0; i < batch.size(); ++i) {
-      tasks.push_back([&serve, i] { serve(i); });
-    }
-    pool_->RunAll(std::move(tasks));
-  } else {
-    for (size_t i = 0; i < batch.size(); ++i) {
-      serve(i);
-    }
-  }
-  // Barrier passed: replay traces in batch order. Serial execution emits
-  // request 0's events, then request 1's, and so on — replaying the
-  // buffers in that same order makes the downstream stream byte-identical
-  // for any worker count.
-  for (size_t i = 0; i < batch.size(); ++i) {
-    Disk& disk = *disks_[static_cast<size_t>(batch[i].member)];
-    if (original[i] != nullptr) {
-      disk.set_trace_sink(original[i]);
-      buffers[i].FlushTo(original[i]);
-    }
-  }
-  for (const MemberOutcome& fate : outcome->per_request) {
     outcome->completion_time = std::max(outcome->completion_time, fate.service);
   }
 }
@@ -99,49 +75,32 @@ Result<DiskArray::BatchOutcome> DiskArray::ReadBatch(const std::vector<BatchRequ
     out->assign(batch.size(), {});
   }
   BatchOutcome outcome;
-  outcome.per_request.resize(batch.size());
-  auto serve = [this, &batch, out, &outcome](size_t i) {
-    const BatchRequest& request = batch[i];
-    Disk& disk = *disks_[static_cast<size_t>(request.member)];
-    std::vector<uint8_t>* slot = out != nullptr ? &(*out)[i] : nullptr;
-    Result<SimDuration> service = disk.Read(request.start_sector, request.sectors, slot);
-    MemberOutcome& fate = outcome.per_request[i];
-    if (service.ok()) {
-      fate.service = *service;
-    } else {
-      fate.status = service.status();
-      fate.service = disk.last_fault_service();
-    }
-  };
-  DispatchBatch(batch, serve, &outcome);
+  DispatchBatch(
+      batch,
+      [out](Disk& disk, const BatchRequest& request, size_t i) {
+        std::vector<uint8_t>* slot = out != nullptr ? &(*out)[i] : nullptr;
+        return disk.Read(request.start_sector, request.sectors, slot);
+      },
+      &outcome);
   return outcome;
 }
 
-Result<DiskArray::BatchOutcome> DiskArray::ReadBatchInto(
-    const std::vector<BatchRequest>& batch, const std::vector<std::vector<uint8_t>*>& pages) {
+Status DiskArray::ReadBatchInto(const std::vector<BatchRequest>& batch,
+                                const std::vector<std::vector<uint8_t>*>& pages,
+                                BatchOutcome* outcome) {
   if (Status status = ValidateBatch(batch); !status.ok()) {
     return status;
   }
   if (!pages.empty() && pages.size() != batch.size()) {
     return Status(ErrorCode::kInvalidArgument, "page count does not match batch size");
   }
-  BatchOutcome outcome;
-  outcome.per_request.resize(batch.size());
-  auto serve = [this, &batch, &pages, &outcome](size_t i) {
-    const BatchRequest& request = batch[i];
-    Disk& disk = *disks_[static_cast<size_t>(request.member)];
-    std::vector<uint8_t>* slot = pages.empty() ? nullptr : pages[i];
-    Result<SimDuration> service = disk.Read(request.start_sector, request.sectors, slot);
-    MemberOutcome& fate = outcome.per_request[i];
-    if (service.ok()) {
-      fate.service = *service;
-    } else {
-      fate.status = service.status();
-      fate.service = disk.last_fault_service();
-    }
-  };
-  DispatchBatch(batch, serve, &outcome);
-  return outcome;
+  DispatchBatch(
+      batch,
+      [&pages](Disk& disk, const BatchRequest& request, size_t i) {
+        return disk.Read(request.start_sector, request.sectors, pages.empty() ? nullptr : pages[i]);
+      },
+      outcome);
+  return Status::Ok();
 }
 
 Result<DiskArray::BatchOutcome> DiskArray::WriteBatch(const std::vector<BatchRequest>& batch,
@@ -153,22 +112,14 @@ Result<DiskArray::BatchOutcome> DiskArray::WriteBatch(const std::vector<BatchReq
     return Status(ErrorCode::kInvalidArgument, "payload count does not match batch size");
   }
   BatchOutcome outcome;
-  outcome.per_request.resize(batch.size());
-  auto serve = [this, &batch, &data, &outcome](size_t i) {
-    const BatchRequest& request = batch[i];
-    Disk& disk = *disks_[static_cast<size_t>(request.member)];
-    std::span<const uint8_t> payload =
-        data.empty() ? std::span<const uint8_t>() : std::span<const uint8_t>(data[i]);
-    Result<SimDuration> service = disk.Write(request.start_sector, request.sectors, payload);
-    MemberOutcome& fate = outcome.per_request[i];
-    if (service.ok()) {
-      fate.service = *service;
-    } else {
-      fate.status = service.status();
-      fate.service = disk.last_fault_service();
-    }
-  };
-  DispatchBatch(batch, serve, &outcome);
+  DispatchBatch(
+      batch,
+      [&data](Disk& disk, const BatchRequest& request, size_t i) {
+        std::span<const uint8_t> payload =
+            data.empty() ? std::span<const uint8_t>() : std::span<const uint8_t>(data[i]);
+        return disk.Write(request.start_sector, request.sectors, payload);
+      },
+      &outcome);
   return outcome;
 }
 

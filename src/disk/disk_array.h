@@ -15,22 +15,16 @@
 // call as a whole. Member fault schedules are decorrelated by deriving
 // each member's injector seed from the array seed and the member index.
 //
-// Wall-clock execution (DESIGN.md section 12): with set_worker_pool, the
-// requests of a batch run as real parallel tasks — one task per member —
-// joined at a barrier before the call returns. The one-request-per-member
-// rule that ValidateBatch enforces is what makes this safe without locks:
-// each task exclusively owns its member Disk (arm state, sector store,
-// fault injector are all per member), its own output slot and its own
-// MemberOutcome, so tasks share no mutable state. Member trace emissions
-// are buffered per request and replayed in batch order at the barrier, so
-// the trace stream, completion_time (= max over members, Eq. 11) and all
-// simulated-time results are byte-identical for any worker count.
+// Execution: a batch's requests are served one after another on the
+// calling thread, in batch order, and the batch completes at the max over
+// members (Eq. 11) — the parallelism is in simulated time, not host time.
+// Member trace events therefore reach the shared sink graph in batch
+// order directly.
 
 #ifndef VAFS_SRC_DISK_DISK_ARRAY_H_
 #define VAFS_SRC_DISK_DISK_ARRAY_H_
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -39,8 +33,6 @@
 #include "src/util/time.h"
 
 namespace vafs {
-
-class WorkerPool;
 
 class DiskArray {
  public:
@@ -103,14 +95,15 @@ class DiskArray {
   Result<BatchOutcome> ReadBatch(const std::vector<BatchRequest>& batch,
                                  std::vector<std::vector<uint8_t>>* out);
 
-  // Pooled-payload variant: request i's data lands in `*pages[i]`, a
-  // caller-owned buffer (typically a PagePool page). The buffer is resized
-  // to the transfer's byte count, which allocates nothing when its capacity
-  // already suffices — the allocation-free read path of the 20k-stream
-  // rounds (DESIGN.md section 15). An empty `pages` (or a null entry)
-  // skips the payload for all (or that) request.
-  Result<BatchOutcome> ReadBatchInto(const std::vector<BatchRequest>& batch,
-                                     const std::vector<std::vector<uint8_t>*>& pages);
+  // Allocation-free variant for the scheduler's waves: request i's data
+  // lands in `*pages[i]`, a caller-owned buffer (typically a PagePool
+  // page), and the fates land in the caller's `*outcome`, whose storage is
+  // reused. A buffer is resized to the transfer's byte count, which
+  // allocates nothing when its capacity already suffices (DESIGN.md section
+  // 15). An empty `pages` (or a null entry) skips the payload for all (or
+  // that) request.
+  Status ReadBatchInto(const std::vector<BatchRequest>& batch,
+                       const std::vector<std::vector<uint8_t>*>& pages, BatchOutcome* outcome);
 
   // Parallel write counterpart; `data[i]` is the payload of request i.
   Result<BatchOutcome> WriteBatch(const std::vector<BatchRequest>& batch,
@@ -126,33 +119,19 @@ class DiskArray {
   // paper's HDTV feasibility argument sweeps.
   double AggregateTransferRateBitsPerSec() const;
 
-  // Wall-clock parallelism: when set (non-owning; must outlive the array),
-  // batch requests run as one task per member on the pool, joined before
-  // the call returns. Null (the default) or a 1-worker pool executes the
-  // batch inline — the sequential reference every parallel run must match
-  // byte for byte.
-  void set_worker_pool(WorkerPool* pool) { pool_ = pool; }
-  WorkerPool* worker_pool() const { return pool_; }
-
  private:
-  // Rejecting two requests on one member is not a modeling nicety: it is
-  // the data-ownership rule of the parallel engine. One request per member
-  // means one task per Disk, so tasks never share arm state, stores or
-  // fault injectors and the wave needs no locks. Callers with deeper
-  // queues (the scheduler's C-SCAN member queues) issue one wave per queue
-  // depth instead.
+  // One request per member: a member's arm cannot serve two transfers at
+  // once. Callers with deeper queues (the scheduler's C-SCAN member
+  // queues) issue one wave per queue depth instead.
   Status ValidateBatch(const std::vector<BatchRequest>& batch) const;
 
-  // Shared execution engine for Read/WriteBatch: redirects member traces
-  // into per-request buffers, runs `serve(i)` for every request (on the
-  // pool when configured, inline otherwise), then at the barrier restores
-  // the sinks, replays the buffers in batch order and folds
-  // completion_time = max over members.
-  void DispatchBatch(const std::vector<BatchRequest>& batch,
-                     const std::function<void(size_t)>& serve, BatchOutcome* outcome);
+  // Serves every request in batch order through `op(disk, request, i)`,
+  // which returns the member's service time or fault, records each fate in
+  // `outcome` and folds completion_time = max over members.
+  template <typename Op>
+  void DispatchBatch(const std::vector<BatchRequest>& batch, Op op, BatchOutcome* outcome);
 
   std::vector<std::unique_ptr<Disk>> disks_;
-  WorkerPool* pool_ = nullptr;
 };
 
 }  // namespace vafs

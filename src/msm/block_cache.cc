@@ -6,41 +6,42 @@
 namespace vafs {
 
 std::vector<uint8_t>* PagePool::Acquire(int64_t bytes) {
-  std::lock_guard<std::mutex> lock(mutex_);
   const size_t want = static_cast<size_t>(bytes);
+  Page* page = nullptr;
   for (size_t i = 0; i < free_.size(); ++i) {
-    if (free_[i]->capacity() >= want) {
-      std::unique_ptr<std::vector<uint8_t>> page = std::move(free_[i]);
+    if (free_[i]->bytes.capacity() >= want) {
+      page = free_[i];
       free_.erase(free_.begin() + static_cast<ptrdiff_t>(i));
-      page->assign(want, 0);
-      std::vector<uint8_t>* raw = page.get();
-      live_.emplace(raw, std::move(page));
       ++recycled_;
-      return raw;
+      break;
     }
   }
-  auto page = std::make_unique<std::vector<uint8_t>>(want, 0);
-  std::vector<uint8_t>* raw = page.get();
-  live_.emplace(raw, std::move(page));
-  ++created_;
-  return raw;
+  if (page == nullptr) {
+    auto fresh = std::make_unique<Page>();
+    page = fresh.get();
+    pages_.emplace(&page->bytes, std::move(fresh));
+    ++created_;
+  }
+  page->bytes.assign(want, 0);
+  page->handed_out = true;
+  ++outstanding_;
+  return &page->bytes;
 }
 
 void PagePool::Release(std::vector<uint8_t>* page) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto it = live_.find(page);
-  if (it == live_.end()) {
+  auto it = pages_.find(page);
+  if (it == pages_.end() || !it->second->handed_out) {
     assert(false && "released a page the pool does not own");
     return;
   }
-  free_.push_back(std::move(it->second));
-  live_.erase(it);
+  it->second->handed_out = false;
+  --outstanding_;
+  free_.push_back(it->second.get());
 }
 
 BlockCache::BlockCache(BlockCacheOptions options) : options_(options) {}
 
 bool BlockCache::Lookup(int64_t sector, int64_t sectors) {
-  std::lock_guard<std::mutex> lock(mutex_);
   if (window_lookups_ >= std::max<int64_t>(options_.hit_window, 2)) {
     // Exponential decay: old rounds fade so a sharing collapse shows up
     // within one window instead of being averaged away.
@@ -60,7 +61,6 @@ bool BlockCache::Lookup(int64_t sector, int64_t sectors) {
 }
 
 bool BlockCache::Contains(int64_t sector, int64_t sectors) const {
-  std::lock_guard<std::mutex> lock(mutex_);
   auto it = entries_.find(sector);
   return it != entries_.end() && it->second.sectors == sectors;
 }
@@ -98,7 +98,6 @@ bool BlockCache::MakeRoom(int64_t bytes) {
 }
 
 void BlockCache::Insert(int64_t sector, int64_t sectors, int64_t bytes, bool interval_biased) {
-  std::lock_guard<std::mutex> lock(mutex_);
   if (!enabled() || bytes > options_.capacity_bytes) {
     return;
   }
@@ -139,7 +138,6 @@ void BlockCache::Insert(int64_t sector, int64_t sectors, int64_t bytes, bool int
 }
 
 bool BlockCache::Pin(int64_t sector, int64_t sectors) {
-  std::lock_guard<std::mutex> lock(mutex_);
   auto it = entries_.find(sector);
   if (it == entries_.end() || it->second.sectors != sectors) {
     return false;
@@ -152,7 +150,6 @@ bool BlockCache::Pin(int64_t sector, int64_t sectors) {
 }
 
 void BlockCache::Unpin(int64_t sector, int64_t sectors) {
-  std::lock_guard<std::mutex> lock(mutex_);
   auto it = entries_.find(sector);
   if (it == entries_.end() || it->second.sectors != sectors || it->second.pins == 0) {
     return;
@@ -163,7 +160,6 @@ void BlockCache::Unpin(int64_t sector, int64_t sectors) {
 }
 
 int64_t BlockCache::InvalidateRange(int64_t sector, int64_t sectors) {
-  std::lock_guard<std::mutex> lock(mutex_);
   const int64_t end = sector + sectors;
   const int64_t resident_before = stats_.resident_entries;
   int64_t dropped = 0;
@@ -195,7 +191,6 @@ int64_t BlockCache::InvalidateRange(int64_t sector, int64_t sectors) {
 }
 
 void BlockCache::InvalidateAll() {
-  std::lock_guard<std::mutex> lock(mutex_);
   stats_.invalidated_entries += stats_.resident_entries;
   stats_.resident_bytes = 0;
   stats_.resident_entries = 0;
@@ -208,7 +203,6 @@ void BlockCache::InvalidateAll() {
 }
 
 double BlockCache::RecentHitRate() const {
-  std::lock_guard<std::mutex> lock(mutex_);
   if (window_lookups_ == 0) {
     return 0.0;
   }

@@ -23,6 +23,11 @@
 //
 // The embedded PagePool recycles payload-sized scratch buffers so the
 // per-round service loop never allocates per block.
+//
+// Neither class takes a lock: the cache and its pool are touched only by
+// the thread that runs the simulation (DESIGN.md section 12). Worker tasks
+// of a payload pass read the bytes of pages they were handed, never the
+// pool's bookkeeping.
 
 #ifndef VAFS_SRC_MSM_BLOCK_CACHE_H_
 #define VAFS_SRC_MSM_BLOCK_CACHE_H_
@@ -31,7 +36,6 @@
 #include <list>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <unordered_map>
 #include <vector>
 
@@ -39,10 +43,9 @@ namespace vafs {
 
 // Recycles payload buffers between rounds. Acquired pages are zero-filled
 // (the simulated capture path records zero payloads), sized to whole
-// blocks, and returned to the pool on release instead of freed. Acquire
-// and Release are thread-safe so wall-clock worker tasks (DESIGN.md
-// section 12) can borrow scratch pages concurrently; the buffers handed
-// out are exclusively the caller's until released.
+// blocks, and returned to the pool on release instead of freed. A page's
+// bookkeeping is made once, when the pool creates it, so a warm pool
+// acquires and releases without touching the allocator.
 class PagePool {
  public:
   // A zeroed buffer of exactly `bytes` bytes. Reuses a pooled page when
@@ -50,32 +53,25 @@ class PagePool {
   std::vector<uint8_t>* Acquire(int64_t bytes);
   void Release(std::vector<uint8_t>* page);
 
-  int64_t pages_pooled() const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return static_cast<int64_t>(free_.size());
-  }
+  int64_t pages_pooled() const { return static_cast<int64_t>(free_.size()); }
   // Pages handed out and not yet released: a non-zero steady state between
   // rounds is a leak (surfaces in telemetry as page_pool.outstanding).
-  int64_t pages_outstanding() const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return static_cast<int64_t>(live_.size());
-  }
+  int64_t pages_outstanding() const { return outstanding_; }
   // Lifetime counters: fresh heap allocations vs. recycled acquisitions.
-  int64_t pages_created() const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return created_;
-  }
-  int64_t pages_recycled() const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return recycled_;
-  }
+  int64_t pages_created() const { return created_; }
+  int64_t pages_recycled() const { return recycled_; }
 
  private:
-  mutable std::mutex mutex_;
-  std::vector<std::unique_ptr<std::vector<uint8_t>>> free_;
-  // Keyed by buffer address so Release is O(1) even with thousands of
-  // pages in flight during a scale round.
-  std::unordered_map<std::vector<uint8_t>*, std::unique_ptr<std::vector<uint8_t>>> live_;
+  struct Page {
+    std::vector<uint8_t> bytes;
+    bool handed_out = false;
+  };
+  // Every page the pool made, keyed by the buffer address callers hold, so
+  // Release is O(1) even with thousands of pages in flight during a scale
+  // round.
+  std::unordered_map<const std::vector<uint8_t>*, std::unique_ptr<Page>> pages_;
+  std::vector<Page*> free_;  // released pages, in release order
+  int64_t outstanding_ = 0;
   int64_t created_ = 0;
   int64_t recycled_ = 0;
 };
@@ -101,11 +97,6 @@ struct BlockCacheStats {
   int64_t pinned_entries = 0;
 };
 
-// Thread-safety: every mutating or probing method takes an internal
-// mutex, so planner probes and worker-task insertions may interleave.
-// stats() returns a reference into the guarded state — read it only from
-// the coordinating thread between waves (after the pool's join barrier),
-// which is where the scheduler and exporters already sample it.
 class BlockCache {
  public:
   explicit BlockCache(BlockCacheOptions options);
@@ -157,13 +148,11 @@ class BlockCache {
     std::list<int64_t>::iterator lru;  // position in lru_ (keyed by sector)
   };
 
-  // Both run under mutex_ (called from the locked public methods only).
   void Evict(std::map<int64_t, Entry>::iterator it);
   // Frees space until `bytes` more fit, honouring pins and bias. Returns
   // false when pinned entries make that impossible.
   bool MakeRoom(int64_t bytes);
 
-  mutable std::mutex mutex_;
   BlockCacheOptions options_;
   BlockCacheStats stats_;
   std::map<int64_t, Entry> entries_;  // by start sector

@@ -4,7 +4,6 @@
 #include <bit>
 #include <cassert>
 #include <cstdlib>
-#include <deque>
 #include <map>
 #include <set>
 #include <string>
@@ -19,11 +18,6 @@ ServiceScheduler::ServiceScheduler(StrandStore* store, Simulator* simulator,
                                    AdmissionControl admission, SchedulerOptions options)
     : store_(store), simulator_(simulator), admission_(std::move(admission)), options_(options) {
   admission_.set_trace_sink(options_.trace);
-  if (options_.disk_array != nullptr) {
-    // Wall-clock engine wiring: the array owns parallel dispatch; the
-    // scheduler only decides batch composition and folds the results.
-    options_.disk_array->set_worker_pool(options_.worker_pool);
-  }
 }
 
 ServiceScheduler::ActiveRequest* ServiceScheduler::FindRequest(RequestId id) {
@@ -1255,9 +1249,10 @@ int64_t ServiceScheduler::ExecutePlannedRound(SimTime* now) {
       array->member(m).set_time_hint(now);
     }
     queue_scratch_.resize(static_cast<size_t>(members));
-    for (auto& queue : queue_scratch_) {
+    for (std::vector<const PlannedTransfer*>& queue : queue_scratch_) {
       queue.clear();
     }
+    queue_head_.assign(static_cast<size_t>(members), 0);
     append_scratch_.clear();
     for (const PlannedTransfer& transfer : plan.transfers) {
       if (transfer.is_append) {
@@ -1281,8 +1276,9 @@ int64_t ServiceScheduler::ExecutePlannedRound(SimTime* now) {
       std::vector<const PlannedTransfer*>& wave = wave_scratch_;
       std::vector<int64_t>& wave_dists = wave_dist_scratch_;  // dispatch seek distance per entry
       for (int m = 0; m < members; ++m) {
-        auto& queue = queue_scratch_[static_cast<size_t>(m)];
-        if (queue.empty()) {
+        const std::vector<const PlannedTransfer*>& queue = queue_scratch_[static_cast<size_t>(m)];
+        size_t& head = queue_head_[static_cast<size_t>(m)];
+        if (head == queue.size()) {
           continue;
         }
         if (array->member(m).failed()) {
@@ -1290,14 +1286,12 @@ int64_t ServiceScheduler::ExecutePlannedRound(SimTime* now) {
           // arm no longer moves, so dispatching its queue would only burn a
           // per-block attempt against a device that answers instantly with
           // nothing. Drain the queue as direct skips instead.
-          while (!queue.empty()) {
-            skip_transfer(*queue.front(), "member_failed");
-            queue.pop_front();
+          for (; head < queue.size(); ++head) {
+            skip_transfer(*queue[head], "member_failed");
           }
           continue;
         }
-        const PlannedTransfer* transfer = queue.front();
-        queue.pop_front();
+        const PlannedTransfer* transfer = queue[head++];
         const int64_t dist = std::abs(model.SectorToCylinder(transfer->start_sector) -
                                       array->member(m).head_cylinder());
         measured_seek += dist;
@@ -1320,18 +1314,18 @@ int64_t ServiceScheduler::ExecutePlannedRound(SimTime* now) {
           wave_pages_.push_back(page_pool.Acquire(request.sectors * sector_bytes));
         }
       }
-      Result<DiskArray::BatchOutcome> outcome = array->ReadBatchInto(batch, wave_pages_);
-      assert(outcome.ok());  // the planner only builds well-formed batches
+      [[maybe_unused]] const Status dispatched =
+          array->ReadBatchInto(batch, wave_pages_, &wave_outcome_);
+      assert(dispatched.ok());  // the planner only builds well-formed batches
+      const DiskArray::BatchOutcome* outcome = &wave_outcome_;
       for (size_t i = 0; i < wave_pages_.size(); ++i) {
         held_pages_.push_back(HeldPage{wave_pages_[i], outcome->per_request[i].status.ok()});
       }
       *now = wave_start + outcome->completion_time;
 
-      // Span bookkeeping happens on the scheduler thread at the wave
-      // barrier, in batch order — independent of worker scheduling. The
-      // wave's ledger charge goes to its slowest arm (the wave completes
-      // when that arm does): its reposition is seek, the rest the
-      // dominant transfer's own stage.
+      // The wave's ledger charge goes to its slowest arm (the wave
+      // completes when that arm does): its reposition is seek, the rest
+      // the dominant transfer's own stage.
       const uint64_t wave_span =
           span_.open ? obs::ChildSpanId(span_.root, obs::SpanStage::kWave, wave_index) : 0;
       if (span_.open) {

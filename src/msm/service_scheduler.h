@@ -143,11 +143,13 @@ struct SchedulerOptions {
   // on the store's primary spindle. Member geometry must match the store
   // disk. Must outlive the scheduler.
   DiskArray* disk_array = nullptr;
-  // Wall-clock execution engine (DESIGN.md section 12): pool the array's
-  // member waves run on as real parallel tasks. Null (or 1 worker) keeps
-  // every wave inline — the sequential reference execution. Simulated-time
-  // results are byte-identical either way; only host CPU time changes.
-  // Must outlive the scheduler. Requires disk_array to have any effect.
+  // Wall-clock execution engine (DESIGN.md section 12): pool the payload
+  // passes of verify_payloads rounds run on as real parallel tasks. Null
+  // (or 1 worker) CRCs inline — the sequential reference execution.
+  // Simulated-time results are byte-identical either way; only host CPU
+  // time changes. Must outlive the scheduler. Has an effect only with
+  // disk_array and verify_payloads; member waves always run on the
+  // scheduler thread.
   WorkerPool* worker_pool = nullptr;
   // End-to-end payload verification: planned waves read block data into
   // pool pages, and the scheduler CRCs them in passes of up to
@@ -515,12 +517,15 @@ class ServiceScheduler {
   size_t group_count_ = 0;
   std::vector<int32_t> attribute_scratch_;  // distinct rider inputs of one transfer
   // Array-wave dispatch scratch.
-  std::vector<std::deque<const PlannedTransfer*>> queue_scratch_;
+  // Per-member transfer queues, consumed front to back through queue_head_.
+  std::vector<std::vector<const PlannedTransfer*>> queue_scratch_;
+  std::vector<size_t> queue_head_;
   std::vector<const PlannedTransfer*> append_scratch_;
   std::vector<DiskArray::BatchRequest> batch_scratch_;
   std::vector<const PlannedTransfer*> wave_scratch_;
   std::vector<int64_t> wave_dist_scratch_;
   std::vector<std::vector<uint8_t>*> wave_pages_;  // pooled payload buffers
+  DiskArray::BatchOutcome wave_outcome_;            // the last wave's fates
   // verify_payloads: the pages of finished wave entries awaiting the next
   // payload pass, in wave and batch order, and that pass's task storage.
   struct HeldPage {

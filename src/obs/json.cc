@@ -52,9 +52,17 @@ class Parser {
     }
     switch (text_[pos_]) {
       case '{':
-        return ParseObject();
-      case '[':
-        return ParseArray();
+      case '[': {
+        // The parser recurses once per object or array level, so a hostile
+        // run of '[' would otherwise exhaust the stack.
+        if (depth_ == kMaxJsonDepth) {
+          return Error("nesting deeper than " + std::to_string(kMaxJsonDepth) + " levels");
+        }
+        ++depth_;
+        Result<JsonValue> nested = text_[pos_] == '{' ? ParseObject() : ParseArray();
+        --depth_;
+        return nested;
+      }
       case '"':
         return ParseString();
       case 't':
@@ -246,6 +254,7 @@ class Parser {
 
   const std::string& text_;
   size_t pos_ = 0;
+  int depth_ = 0;  // objects and arrays open around pos_
 };
 
 }  // namespace

@@ -5,6 +5,8 @@
 // round-tripping through this parser. It handles the full value grammar
 // (objects, arrays, strings with escapes, numbers, booleans, null) but is
 // deliberately small: no streaming, no comments, documents live in memory.
+// Nesting is bounded (kMaxJsonDepth), so hostile input returns an error
+// status instead of overflowing the parser's stack.
 
 #ifndef VAFS_SRC_OBS_JSON_H_
 #define VAFS_SRC_OBS_JSON_H_
@@ -17,6 +19,10 @@
 
 namespace vafs {
 namespace obs {
+
+// Deepest object/array nesting JsonValue::Parse accepts. Every document the
+// exporters write nests only a few levels.
+inline constexpr int kMaxJsonDepth = 256;
 
 struct JsonValue {
   enum class Type { kNull, kBool, kNumber, kString, kArray, kObject };

@@ -6,13 +6,14 @@
 // registry state themselves; they emit trace events (src/obs/trace.h) and a
 // MetricsSink folds the stream into a registry. The registry serializes to
 // JSON so benches can drop a machine-readable metrics file next to their
-// printed tables.
+// printed tables. Instruments are plain values: trace events are emitted
+// only by the thread that runs the simulation (DESIGN.md section 12), so
+// a registry has exactly one writer.
 
 #ifndef VAFS_SRC_OBS_METRICS_H_
 #define VAFS_SRC_OBS_METRICS_H_
 
 #include <array>
-#include <atomic>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -25,41 +26,24 @@ namespace obs {
 // the exporters (src/obs/export.h).
 void AppendJsonEscaped(std::string* out, const std::string& text);
 
-// Monotonically increasing event total. Increments are atomic so worker
-// tasks (src/util/worker_pool.h) may bump counters concurrently; readers
-// see a consistent total after the pool's join barrier.
+// Monotonically increasing event total.
 class Counter {
  public:
-  Counter() = default;
-  Counter(const Counter& other) : value_(other.value()) {}
-  Counter& operator=(const Counter& other) {
-    value_.store(other.value(), std::memory_order_relaxed);
-    return *this;
-  }
-
-  void Increment(int64_t by = 1) { value_.fetch_add(by, std::memory_order_relaxed); }
-  int64_t value() const { return value_.load(std::memory_order_relaxed); }
+  void Increment(int64_t by = 1) { value_ += by; }
+  int64_t value() const { return value_; }
 
  private:
-  std::atomic<int64_t> value_{0};
+  int64_t value_ = 0;
 };
 
-// Last-written instantaneous value. Atomic for the same reason as Counter;
-// concurrent writers race benignly (last store wins, no torn reads).
+// Last-written instantaneous value.
 class Gauge {
  public:
-  Gauge() = default;
-  Gauge(const Gauge& other) : value_(other.value()) {}
-  Gauge& operator=(const Gauge& other) {
-    value_.store(other.value(), std::memory_order_relaxed);
-    return *this;
-  }
-
-  void Set(double value) { value_.store(value, std::memory_order_relaxed); }
-  double value() const { return value_.load(std::memory_order_relaxed); }
+  void Set(double value) { value_ = value; }
+  double value() const { return value_; }
 
  private:
-  std::atomic<double> value_{0.0};
+  double value_ = 0.0;
 };
 
 // Distribution summary. Bucket 0 counts samples <= 1 (including negative

@@ -258,35 +258,6 @@ class TraceLog : public TraceSink {
   size_t size_ = 0;
 };
 
-// Buffers events for later ordered replay into another sink. This is the
-// determinism seam of the wall-clock execution engine (DESIGN.md section
-// 12): during a parallel DiskArray wave each member disk emits into its
-// own private buffer, and at the wave barrier the buffers are flushed in
-// member order — so the downstream sink graph (log, auditor, metrics,
-// SLO) sees a byte-identical stream for any worker count, including 1.
-// A BufferedTraceSink itself is single-threaded: one owner writes it, and
-// flushing happens after the join barrier.
-class BufferedTraceSink : public TraceSink {
- public:
-  void OnEvent(const TraceEvent& event) override { events_.push_back(event); }
-
-  const std::vector<TraceEvent>& events() const { return events_; }
-  bool empty() const { return events_.empty(); }
-
-  // Replays the buffer into `sink` in recording order and clears it.
-  void FlushTo(TraceSink* sink) {
-    if (sink != nullptr) {
-      for (const TraceEvent& event : events_) {
-        sink->OnEvent(event);
-      }
-    }
-    events_.clear();
-  }
-
- private:
-  std::vector<TraceEvent> events_;
-};
-
 // Fans one event stream out to several sinks (log + auditor + metrics).
 class TeeSink : public TraceSink {
  public:

@@ -1,17 +1,15 @@
 // Fixed-size worker pool for wall-clock parallelism inside one simulated
 // round.
 //
-// The simulator's timing semantics are single-threaded and deterministic;
-// the pool exists only to spend real CPU faster on work that is already
-// independent in simulated time — the per-member requests of one DiskArray
-// wave, exporter serialization. Two execution shapes are offered:
-//
-//  - RunAll: a parallel-for with a join barrier. The caller runs tasks
-//    too, and the call returns only when every task has finished, so the
-//    caller can merge per-task results in a fixed order afterwards;
-//    determinism is the merger's job, not the scheduler's.
-//  - Submit/Drain: fire-and-forget background tasks (off-round-path
-//    serialization), joined explicitly before their outputs are read.
+// The simulator's timing semantics are single-threaded and deterministic:
+// one thread runs the simulation and is the only writer of its state
+// (DESIGN.md section 12). The pool exists only to spend real CPU faster on
+// work that is already independent — today the scheduler's payload passes
+// (ServiceScheduler::VerifyHeldPayloads), which CRC pages each task owns.
+// RunAll is a parallel-for with a join barrier: the caller runs tasks too,
+// and the call returns only when every task has finished, so the caller
+// merges per-task results in a fixed order afterwards; determinism is the
+// merger's job, not the pool's.
 //
 // A pool of one worker never spawns a thread: tasks run inline on the
 // caller in index order, giving the exact sequential reference semantics
@@ -48,22 +46,14 @@ class WorkerPool {
   int workers() const { return workers_; }
 
   // Runs every task and returns when all of them have completed (the
-  // wave barrier). The calling thread runs the first task and then any
+  // barrier). The calling thread runs the first task and then any
   // still-queued ones, so tasks may run on the caller or on a worker.
-  // Tasks must be independent: they may not submit to or drain this pool,
-  // and any shared state they touch must be their own.
-  void RunAll(std::vector<Task> tasks) { RunAll(std::span<Task>(tasks)); }
-  // The same over caller-owned storage, so a caller that runs passes every
-  // round can reuse its task vector. The tasks are left valid but
-  // unspecified (possibly moved-from): reassign them before the next pass.
+  // Tasks must be independent: they may not use this pool, and any shared
+  // state they touch must be their own. The storage is the caller's, so a
+  // caller that runs passes every round can reuse its task vector; the
+  // tasks are left valid but unspecified (possibly moved-from): reassign
+  // them before the next pass.
   void RunAll(std::span<Task> tasks);
-
-  // Enqueues one background task (no join). Pair with Drain before
-  // reading anything the task writes.
-  void Submit(Task task);
-
-  // Blocks until every task submitted or started so far has finished.
-  void Drain();
 
   // VAFS_WORKERS environment value, clamped to [1, 64]; 1 when unset or
   // unparsable. The deterministic default: parallelism is opt-in.

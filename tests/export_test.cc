@@ -355,6 +355,51 @@ TEST(WriteExportTest, ReportsUnwritablePath) {
   EXPECT_FALSE(status.ok());
 }
 
+// Hostile nesting: the parser recurses once per object or array level, so
+// without its depth bound these documents overflowed the stack.
+TEST(JsonParserTest, DeepNestingReturnsAnErrorStatus) {
+  std::string arrays(100000, '[');
+  Result<JsonValue> parsed = JsonValue::Parse(arrays);
+  ASSERT_FALSE(parsed.ok());
+  EXPECT_EQ(parsed.status().code(), ErrorCode::kInvalidArgument);
+  EXPECT_NE(parsed.status().message().find("nesting"), std::string::npos)
+      << parsed.status().message();
+
+  std::string objects;
+  for (int i = 0; i < 100000; ++i) {
+    objects += "{\"a\":";
+  }
+  parsed = JsonValue::Parse(objects);
+  ASSERT_FALSE(parsed.ok());
+  EXPECT_EQ(parsed.status().code(), ErrorCode::kInvalidArgument);
+  EXPECT_NE(parsed.status().message().find("nesting"), std::string::npos)
+      << parsed.status().message();
+}
+
+TEST(JsonParserTest, NestingUpToTheBoundParses) {
+  const auto nested = [](int depth) {
+    return std::string(static_cast<size_t>(depth), '[') + "1" +
+           std::string(static_cast<size_t>(depth), ']');
+  };
+  Result<JsonValue> deepest = JsonValue::Parse(nested(kMaxJsonDepth));
+  ASSERT_TRUE(deepest.ok()) << deepest.status().ToString();
+  const JsonValue* value = &*deepest;
+  for (int level = 0; level < kMaxJsonDepth; ++level) {
+    ASSERT_TRUE(value->is_array());
+    ASSERT_EQ(value->array.size(), 1u);
+    value = &value->array[0];
+  }
+  EXPECT_TRUE(value->is_number());
+  // Sibling containers do not add up: depth is nesting, not a count.
+  std::string siblings = "[";
+  for (int i = 0; i < 2 * kMaxJsonDepth; ++i) {
+    siblings += i == 0 ? "[]" : ",[]";
+  }
+  siblings += "]";
+  EXPECT_TRUE(JsonValue::Parse(siblings).ok());
+  EXPECT_FALSE(JsonValue::Parse(nested(kMaxJsonDepth + 1)).ok());
+}
+
 }  // namespace
 }  // namespace obs
 }  // namespace vafs

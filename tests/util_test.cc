@@ -264,30 +264,36 @@ TEST(WorkerPoolTest, RunAllExecutesEveryTaskAndJoins) {
   for (int i = 0; i < 100; ++i) {
     tasks.push_back([&done] { done.fetch_add(1, std::memory_order_relaxed); });
   }
-  pool.RunAll(std::move(tasks));
+  pool.RunAll(tasks);
   // RunAll is a barrier: every task observed complete at return.
   EXPECT_EQ(done.load(), 100);
 }
 
 TEST(WorkerPoolTest, RunAllCallerTakesQueuedTasksWhileWorkersAreBusy) {
-  // Hold every worker with a background task; RunAll's tasks must then run
-  // on the caller, which takes them from the queue rather than sleeping
-  // until a worker frees up. The last task releases the workers. A watchdog
-  // releases them too after five seconds, so a RunAll that waits for
-  // workers fails the test instead of hanging it.
+  // Hold every worker with the tasks of a RunAll issued from a second
+  // thread; this thread's RunAll must then run its tasks on the caller,
+  // taking them from the queue rather than sleeping until a worker frees
+  // up. The last task releases the workers. A watchdog releases them too
+  // after five seconds, so a RunAll that waits for workers fails the test
+  // instead of hanging it.
   constexpr int kWorkers = 2;
   WorkerPool pool(kWorkers);
   std::atomic<bool> release{false};
   std::atomic<int> held{0};
-  for (int i = 0; i < kWorkers; ++i) {
-    pool.Submit([&release, &held] {
-      held.fetch_add(1);
-      while (!release.load()) {
-        std::this_thread::yield();
-      }
-    });
-  }
-  while (held.load() < kWorkers) {
+  // The holder runs one of these tasks itself and the workers the rest.
+  std::thread holder([&pool, &release, &held] {
+    std::vector<WorkerPool::Task> hold;
+    for (int i = 0; i <= kWorkers; ++i) {
+      hold.push_back([&release, &held] {
+        held.fetch_add(1);
+        while (!release.load()) {
+          std::this_thread::yield();
+        }
+      });
+    }
+    pool.RunAll(hold);
+  });
+  while (held.load() < kWorkers + 1) {
     std::this_thread::yield();
   }
   std::thread watchdog([&release] {
@@ -306,7 +312,8 @@ TEST(WorkerPoolTest, RunAllCallerTakesQueuedTasksWhileWorkersAreBusy) {
       }
     });
   }
-  pool.RunAll(std::move(tasks));
+  pool.RunAll(tasks);
+  holder.join();
   watchdog.join();
   for (const std::thread::id& id : ran_on) {
     EXPECT_EQ(id, std::this_thread::get_id());
@@ -317,21 +324,9 @@ TEST(WorkerPoolTest, SingleWorkerRunsInline) {
   WorkerPool pool(1);
   const std::thread::id caller = std::this_thread::get_id();
   std::thread::id ran_on;
-  pool.RunAll({[&ran_on] { ran_on = std::this_thread::get_id(); }});
+  std::vector<WorkerPool::Task> tasks = {[&ran_on] { ran_on = std::this_thread::get_id(); }};
+  pool.RunAll(tasks);
   EXPECT_EQ(ran_on, caller);
-  pool.Submit([&ran_on] { ran_on = std::this_thread::get_id(); });
-  pool.Drain();
-  EXPECT_EQ(ran_on, caller);
-}
-
-TEST(WorkerPoolTest, SubmitAndDrainCompleteBackgroundWork) {
-  WorkerPool pool(3);
-  std::atomic<int> done{0};
-  for (int i = 0; i < 50; ++i) {
-    pool.Submit([&done] { done.fetch_add(1, std::memory_order_relaxed); });
-  }
-  pool.Drain();
-  EXPECT_EQ(done.load(), 50);
 }
 
 TEST(WorkerPoolTest, WorkersFromEnvClampsAndDefaults) {

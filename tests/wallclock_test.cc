@@ -1,7 +1,8 @@
 // Wall-clock execution engine: determinism and fault-accounting tests.
 //
-// The engine (DESIGN.md section 12) runs each planned round's member waves
-// as real parallel tasks on a WorkerPool. The contract under test here is
+// The engine (DESIGN.md section 12) runs each planned round's payload
+// passes as real parallel tasks on a WorkerPool; everything else runs on
+// the scheduler thread. The contract under test here is
 // the hard one: for a fixed seed and configuration, every simulated-time
 // artifact — trace log, metrics JSON, SLO verdicts, Perfetto export, the
 // payload digest — is byte-identical for any worker count, including the
@@ -11,9 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "src/disk/disk_array.h"
@@ -41,8 +40,7 @@ struct RunImage {
   std::string trace;              // TraceEventSummary of the full log
   std::string metrics;            // MetricsRegistry JSON
   std::string slo;                // SloReport JSON
-  std::string perfetto;           // serial PerfettoExporter output
-  std::string perfetto_parallel;  // pool-backed export of the same log
+  std::string perfetto;           // PerfettoExporter output
   uint64_t payload_digest = 0;
   int64_t rounds = 0;
   SimTime completion = 0;
@@ -131,7 +129,6 @@ RunImage RunWorkload(int workers, bool fault_member) {
   image.slo = slo.Report().ToJson();
   obs::PerfettoExporter exporter(&log.events());
   image.perfetto = exporter.Export();
-  image.perfetto_parallel = exporter.Export(&pool);
   image.payload_digest = scheduler.payload_digest();
   image.rounds = scheduler.rounds_executed();
   image.completion = sim.Now();
@@ -156,9 +153,6 @@ TEST(WallclockDeterminismTest, WorkerCountsProduceByteIdenticalTelemetry) {
   EXPECT_GT(reference.completion, 0);
   EXPECT_GT(reference.blocks_done, 0);
   EXPECT_FALSE(reference.trace.empty());
-  // The pool-backed Perfetto export must already match the serial one in
-  // the reference run (1 worker serializes inline).
-  EXPECT_EQ(reference.perfetto_parallel, reference.perfetto);
 
   for (int workers : {2, 8}) {
     const RunImage image = RunWorkload(workers, /*fault_member=*/false);
@@ -167,7 +161,6 @@ TEST(WallclockDeterminismTest, WorkerCountsProduceByteIdenticalTelemetry) {
     EXPECT_EQ(image.metrics, reference.metrics) << "workers=" << workers;
     EXPECT_EQ(image.slo, reference.slo) << "workers=" << workers;
     EXPECT_EQ(image.perfetto, reference.perfetto) << "workers=" << workers;
-    EXPECT_EQ(image.perfetto_parallel, reference.perfetto) << "workers=" << workers;
     EXPECT_EQ(image.payload_digest, reference.payload_digest) << "workers=" << workers;
     EXPECT_EQ(image.rounds, reference.rounds) << "workers=" << workers;
     EXPECT_EQ(image.completion, reference.completion) << "workers=" << workers;
@@ -195,24 +188,19 @@ TEST(WallclockDeterminismTest, FaultedRunsAreByteIdenticalAcrossWorkerCounts) {
 TEST(WallclockDiskArrayTest, FaultedMemberChargesMechanicalTimeIntoCompletion) {
   // Eq. 11 accounting under faults: the batch is not done until the
   // slowest arm stops, and a faulted member's arm still moved — its
-  // last_fault_service() must be inside completion_time. Identical for
-  // inline and pooled dispatch.
-  for (int workers : {1, 4}) {
-    DiskArray array(TestDiskParameters(), 2);
-    WorkerPool pool(workers);
-    array.set_worker_pool(&pool);
-    array.member(1).fault_injector().MarkBad(100, 8);
-    const std::vector<DiskArray::BatchRequest> batch = {{0, 0, 8}, {1, 100, 8}};
-    Result<DiskArray::BatchOutcome> outcome = array.ReadBatch(batch, nullptr);
-    ASSERT_TRUE(outcome.ok());
-    ASSERT_EQ(outcome->per_request.size(), 2u);
-    EXPECT_TRUE(outcome->per_request[0].status.ok());
-    EXPECT_FALSE(outcome->per_request[1].status.ok());
-    EXPECT_GT(outcome->per_request[1].service, 0) << "faulted arm consumed no mechanism";
-    EXPECT_EQ(outcome->per_request[1].service, array.member(1).last_fault_service());
-    EXPECT_EQ(outcome->completion_time,
-              std::max(outcome->per_request[0].service, outcome->per_request[1].service));
-  }
+  // last_fault_service() must be inside completion_time.
+  DiskArray array(TestDiskParameters(), 2);
+  array.member(1).fault_injector().MarkBad(100, 8);
+  const std::vector<DiskArray::BatchRequest> batch = {{0, 0, 8}, {1, 100, 8}};
+  Result<DiskArray::BatchOutcome> outcome = array.ReadBatch(batch, nullptr);
+  ASSERT_TRUE(outcome.ok());
+  ASSERT_EQ(outcome->per_request.size(), 2u);
+  EXPECT_TRUE(outcome->per_request[0].status.ok());
+  EXPECT_FALSE(outcome->per_request[1].status.ok());
+  EXPECT_GT(outcome->per_request[1].service, 0) << "faulted arm consumed no mechanism";
+  EXPECT_EQ(outcome->per_request[1].service, array.member(1).last_fault_service());
+  EXPECT_EQ(outcome->completion_time,
+            std::max(outcome->per_request[0].service, outcome->per_request[1].service));
 }
 
 // payload_digest() of a verify_payloads run over a kMembers array whose
@@ -339,77 +327,6 @@ TEST(WallclockPersistenceTest, CheckpointRoundTripsThroughPool) {
   Result<LoadedImage> image = LoadImage(&disk);
   ASSERT_TRUE(image.ok());
   EXPECT_EQ(image->strands_recovered, 1);
-}
-
-TEST(WallclockWorkerPoolTest, BackgroundSubmitsSurviveConcurrentRunAllBarriers) {
-  // The background lane's contract: tasks Submitted from another thread —
-  // even while the owner is running RunAll barriers — each execute exactly
-  // once, and a final Drain makes their writes visible. The RunAll
-  // restriction is on the barrier's own tasks, not on other threads.
-  for (int workers : {1, 4}) {
-    SCOPED_TRACE("workers=" + std::to_string(workers));
-    WorkerPool pool(workers);
-    constexpr int kBackground = 400;
-    constexpr int kWaves = 40;
-    constexpr int kTasksPerWave = 8;
-    std::vector<std::atomic<int>> slots(kBackground);
-    for (auto& slot : slots) {
-      slot.store(0, std::memory_order_relaxed);
-    }
-    std::atomic<int64_t> barrier_work{0};
-    std::thread producer([&pool, &slots] {
-      for (int i = 0; i < kBackground; ++i) {
-        pool.Submit([&slots, i] { slots[static_cast<size_t>(i)].fetch_add(1); });
-        if (i % 32 == 0) {
-          std::this_thread::yield();  // interleave with the barriers
-        }
-      }
-    });
-    for (int wave = 0; wave < kWaves; ++wave) {
-      std::vector<WorkerPool::Task> tasks;
-      tasks.reserve(kTasksPerWave);
-      for (int t = 0; t < kTasksPerWave; ++t) {
-        tasks.push_back([&barrier_work] { barrier_work.fetch_add(1); });
-      }
-      pool.RunAll(std::move(tasks));
-    }
-    producer.join();
-    pool.Drain();
-    EXPECT_EQ(barrier_work.load(), static_cast<int64_t>(kWaves) * kTasksPerWave);
-    for (int i = 0; i < kBackground; ++i) {
-      EXPECT_EQ(slots[static_cast<size_t>(i)].load(), 1) << "background task " << i;
-    }
-  }
-}
-
-TEST(WallclockWorkerPoolTest, DrainFromSecondThreadJoinsInFlightWork) {
-  // Two threads share the background lane: one submits and drains, the
-  // other hammers barriers. Drain must return only once the lane is empty,
-  // and neither side may deadlock the other.
-  WorkerPool pool(4);
-  std::atomic<int64_t> background{0};
-  std::atomic<int64_t> barrier_work{0};
-  std::thread producer([&pool, &background] {
-    for (int round = 0; round < 20; ++round) {
-      for (int i = 0; i < 16; ++i) {
-        pool.Submit([&background] { background.fetch_add(1); });
-      }
-      pool.Drain();
-      const int64_t seen = background.load();
-      ASSERT_GE(seen, (round + 1) * 16) << "Drain returned with work still in flight";
-    }
-  });
-  for (int wave = 0; wave < 40; ++wave) {
-    std::vector<WorkerPool::Task> tasks;
-    for (int t = 0; t < 4; ++t) {
-      tasks.push_back([&barrier_work] { barrier_work.fetch_add(1); });
-    }
-    pool.RunAll(std::move(tasks));
-  }
-  producer.join();
-  pool.Drain();
-  EXPECT_EQ(background.load(), 20 * 16);
-  EXPECT_EQ(barrier_work.load(), 40 * 4);
 }
 
 }  // namespace

@@ -12,7 +12,9 @@ bench_wallclock next to its printed tables). Fails (exit 1) when:
   - the trace stream was empty or no rounds executed (the workload did
     not actually run);
   - on a multi-core host, the best multi-worker rounds/sec falls below
-    the single-worker rounds/sec (tolerance 0.9x for scheduler noise).
+    the single-worker rounds/sec (tolerance 0.9x for scheduler noise):
+    the pooled payload CRC passes, the only work the pool runs, must not
+    make a round slower than checksumming inline.
     On a single-hardware-thread host no speedup is physically possible,
     so the throughput gate is reported but advisory only.
 """
@@ -87,7 +89,7 @@ def check_wallclock(path: str) -> None:
     if cores <= 1:
         print(f"advisory: {line}; single-core host, speedup gate skipped")
     elif best < 0.9 * single:
-        fail(f"{path}: {line}; parallel dispatch slower than inline")
+        fail(f"{path}: {line}; pooled payload passes slower than inline")
     else:
         print(f"ok: {line}")
 
